@@ -9,17 +9,14 @@ split moves as the fault model widens, using LLFI on one benchmark.
 from conftest import SEED, TRIALS, once
 
 from repro.experiments.report import format_table
-from repro.fi import (
-    CampaignConfig, LLFIInjector, MultiBitFlip, SingleBitFlip, StuckAtOne,
-    StuckAtZero, run_campaign,
-)
+from repro.fi import CampaignConfig, LLFIInjector, run_campaign
 
 MODELS = [
-    ("1-bit flip", SingleBitFlip()),
-    ("2-bit flip", MultiBitFlip(2)),
-    ("4-bit flip", MultiBitFlip(4)),
-    ("stuck-at-0", StuckAtZero()),
-    ("stuck-at-1", StuckAtOne()),
+    ("1-bit flip", "bitflip"),
+    ("2-bit flip", "multibit-2"),
+    ("4-bit flip", "multibit-4"),
+    ("stuck-at-0", "stuck-at-0"),
+    ("stuck-at-1", "stuck-at-1"),
 ]
 
 
@@ -30,7 +27,8 @@ def test_fault_model_sensitivity(benchmark, workloads):
     def run():
         results = {}
         for label, model in MODELS:
-            config = CampaignConfig(trials=TRIALS, seed=SEED, model=model)
+            config = CampaignConfig(trials=TRIALS, seed=SEED,
+                                    fault_model=model)
             results[label] = run_campaign(llfi, "all", config)
         return results
 

@@ -64,8 +64,7 @@ def collect(benchmarks, categories, models, config: CampaignConfig,
     ``--fault-model`` uses, so results are shared both ways."""
     cells = {}
     for model in models:
-        cell_config = dataclasses.replace(config, fault_model=model,
-                                          model=None)
+        cell_config = dataclasses.replace(config, fault_model=model)
         for name in benchmarks:
             for tool in TOOLS:
                 for category in categories:
@@ -156,9 +155,3 @@ def main(argv=None) -> None:
     with open(path, "w") as f:
         f.write(report)
     print(f"[sweep report written to {path}]")
-
-
-if __name__ == "__main__":
-    from repro.experiments.cli import warn_deprecated_entrypoint
-    warn_deprecated_entrypoint("sweep")
-    main()

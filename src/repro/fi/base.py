@@ -91,8 +91,6 @@ class BaseInjector(ABC):
         #: Requested checkpoint stride: 0 = off, <0 = auto (~N/20 of the
         #: golden instruction count), >0 = explicit instruction stride.
         self.checkpoint_request = 0
-        #: Requested decoded-snapshot LRU capacity (0 = default).
-        self.decoded_cache_request = 0
         #: Batched-execution accounting: sweeps run, shared (sweep)
         #: instructions, forked lanes, detached lanes.
         self.batch_sweeps = 0
@@ -109,7 +107,7 @@ class BaseInjector(ABC):
         #: Workload registry name, when built from an ``InjectorSpec``.
         self.workload_name: Optional[str] = None
         self._checkpoints: Optional[CheckpointStore] = None
-        self._checkpoints_request: Tuple[int, int] = (0, 0)
+        self._checkpoints_request = 0
         self._golden_result: Optional[ExecutionResult] = None
         self._dynamic_counts: Optional[Dict[str, int]] = None
 
@@ -316,14 +314,11 @@ class BaseInjector(ABC):
         return counts
 
     # -- checkpoints ---------------------------------------------------------
-    def configure_checkpoints(self, stride: int,
-                              decoded_cache: int = 0) -> None:
+    def configure_checkpoints(self, stride: int) -> None:
         """Set the checkpoint policy: 0 disables resume-from-checkpoint,
         <0 picks a stride of ~1/20 of the golden instruction count, >0 is
-        an explicit instruction stride.  ``decoded_cache`` sizes the
-        store's decoded-snapshot LRU (0 = default)."""
+        an explicit instruction stride."""
         self.checkpoint_request = stride
-        self.decoded_cache_request = decoded_cache
 
     def ensure_checkpoints(self, max_instructions: Optional[int] = None
                            ) -> Optional[CheckpointStore]:
@@ -334,16 +329,15 @@ class BaseInjector(ABC):
         the profiling pass: with an explicit stride a fresh injector makes
         one preparation run instead of two.
         """
-        request = (self.checkpoint_request, self.decoded_cache_request)
-        if request[0] == 0:
+        request = self.checkpoint_request
+        if request == 0:
             return None
         if self._checkpoints is not None \
                 and self._checkpoints_request == request:
             return self._checkpoints
-        stride = request[0]
-        if stride < 0:
-            stride = max(1, self.golden_cached().instructions // 20)
-        store = CheckpointStore(stride, decoded_cache=request[1])
+        stride = request if request > 0 else \
+            max(1, self.golden_cached().instructions // 20)
+        store = CheckpointStore(stride)
         result, counts = self._counted_run(
             max_instructions or self.default_max_instructions, store)
         self._account_run(result)

@@ -48,14 +48,19 @@ same cache entry — and is still independent of ``jobs``.  With
 ``ci_margin = 0`` (the default) the campaign is a single round over all
 ``trials`` slots: today's behavior, bit for bit.
 
-Within a round, slots are executed in **checkpoint-bucket order**
-(:func:`order_round`): grouped by the golden checkpoint their first
-attempt restores from, so consecutive trials share one decoded snapshot
-image (see :meth:`repro.vm.snapshot.CheckpointStore.decoded_memory`)
-instead of re-expanding it per trial.  The bucket key is computed from a
+Every campaign path — in-process, worker pool, service shards — runs the
+one round driver (:func:`run_rounds`) and differs only in the *round
+executor* it hands it.  Local executors schedule a round as
+**groups** (:func:`order_round`): slots bucketed by the golden
+checkpoint their first attempt restores from, so consecutive trials
+share one decoded snapshot image (see
+:meth:`repro.vm.snapshot.CheckpointStore.decoded_memory`) instead of
+re-expanding it per trial, and each bucket cut into batch groups when
+batching is on (single slots otherwise).  One group executor
+(:func:`run_groups`) runs them.  The bucket key is computed from a
 fresh copy of each slot's stream without consuming the one the trial
-uses, so bucketing is pure scheduling: it never changes any slot's
-randomness, and the aggregate sorts by slot index anyway.
+uses, so scheduling never changes any slot's randomness, and the
+aggregate sorts by slot index anyway.
 
 Observability
 -------------
@@ -75,8 +80,11 @@ import hashlib
 import os
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.errors import FaultInjectionError
 from repro.fi.base import BaseInjector, BatchRequest, FirstAttempt
@@ -85,7 +93,7 @@ from repro.fi.llfi import LLFIInjector
 from repro.fi.outcome import Outcome, classify
 from repro.fi.pinfi import PINFIInjector
 from repro.fi.stats import Proportion, outcome_margins
-from repro.obs import recording
+from repro.obs import NULL_RECORDER, recording
 from repro.obs.manifest import (
     MANIFEST_SCHEMA_VERSION, RunManifest, manifest_filename, merge_counters,
     write_manifest,
@@ -219,10 +227,6 @@ class CampaignConfig:
     #: Like ``ci_margin`` this **does** change the result, so it is part
     #: of the results cache key.
     fault_model: str = "bitflip"
-    #: Explicit model instance; overrides ``fault_model`` when set (kept
-    #: for programmatic callers — the spec string is what pickles to
-    #: engine workers and lands in cache keys/manifests).
-    model: Optional[FaultModel] = None
     #: Give up on a trial slot after this many redraws (guards against
     #: categories whose faults almost never activate).
     max_attempts_factor: int = 10
@@ -262,10 +266,6 @@ class CampaignConfig:
     #: results are independent of this value and it is **not** part of
     #: the results cache key.
     batch: int = 0
-    #: Decoded-snapshot LRU capacity of the checkpoint store (0 = the
-    #: default, :data:`repro.vm.snapshot.DECODED_CACHE_SNAPSHOTS`).
-    #: Accelerator sizing only — never part of the cache key.
-    decoded_cache: int = 0
     #: Escape hatch for block-compiled execution
     #: (:mod:`repro.vm.blockcache`): True forces every engine run onto the
     #: scalar per-instruction loop. A pure accelerator toggle like
@@ -302,11 +302,8 @@ class CampaignConfig:
         return self.batch if self.batch > 0 else DEFAULT_BATCH_LANES
 
     def resolved_model(self) -> FaultModel:
-        """The fault model campaigns actually inject with: the explicit
-        ``model`` object if given, else ``fault_model`` resolved through
-        the registry."""
-        if self.model is not None:
-            return self.model
+        """The fault model campaigns inject with: ``fault_model``
+        resolved through the registry."""
         return get_fault_model(self.fault_model)
 
 
@@ -348,8 +345,7 @@ def prepare_campaign(injector: BaseInjector, category: str,
     repeated campaigns over the same injector (different categories,
     seeds or trial counts) re-use one golden run and one profiling pass."""
     injector.compile_enabled = not config.no_compile
-    injector.configure_checkpoints(config.checkpoint_stride,
-                                   config.decoded_cache)
+    injector.configure_checkpoints(config.checkpoint_stride)
     # With an explicit stride the recording run doubles as the golden run
     # and the profiling pass, so this adds no whole-program executions.
     injector.ensure_checkpoints()
@@ -549,62 +545,48 @@ def slot_checkpoint_bucket(injector: BaseInjector, category: str,
     return -1 if i is None else i
 
 
+class SlotGroup(NamedTuple):
+    """The unit every local path schedules and runs: slot indices that
+    share one checkpoint bucket.  With batching on, a bucket is cut into
+    groups of at most ``resolved_batch()`` lanes that fork from one shared
+    sweep; with it off, every group is a single slot."""
+
+    #: Position in the round's schedule (the ``group`` of batch records).
+    id: int
+    #: Golden checkpoint index the group's first attempts restore from
+    #: (-1 = cold start).
+    bucket: int
+    indices: List[int]
+
+
 def order_round(injector: BaseInjector, category: str, setup: CampaignSetup,
                 config: CampaignConfig, round_no: int,
-                indices: Iterable[int]) -> Tuple[List[int], List[dict]]:
-    """Bucket one round's slot indices by shared checkpoint.
+                indices: Iterable[int]) -> Tuple[List[SlotGroup], List[dict]]:
+    """Schedule one round's slot indices as bucket-ordered groups.
 
     ``indices`` is any subset of the campaign's slot indices — a whole
     round for local runs, one shard of a round for service workers.
-    Returns them reordered bucket by bucket (cold starts first, then
+    Slots are bucketed by shared checkpoint (cold starts first, then
     ascending checkpoint index; ascending slot index within a bucket —
-    fully deterministic) plus one manifest ``bucket`` record per
+    fully deterministic), then each bucket is cut into
+    :class:`SlotGroup` s.  Also returns one manifest ``bucket`` record per
     non-empty bucket.  Restores within a bucket then hit one shared
-    decoded snapshot image instead of expanding it per trial."""
+    decoded snapshot image instead of expanding it per trial, and
+    batching refines this schedule without ever changing it."""
+    lanes = config.resolved_batch() or 1
     buckets: Dict[int, List[int]] = {}
     for index in indices:
         bucket = slot_checkpoint_bucket(injector, category, setup, config,
                                         index)
         buckets.setdefault(bucket, []).append(index)
-    ordered: List[int] = []
+    groups: List[SlotGroup] = []
     records: List[dict] = []
-    for bucket in sorted(buckets):
-        indices = buckets[bucket]
-        ordered.extend(indices)
-        records.append({"round": round_no, "checkpoint": bucket,
-                        "slots": len(indices)})
-    return ordered, records
-
-
-def order_round_batches(injector: BaseInjector, category: str,
-                        setup: CampaignSetup, config: CampaignConfig,
-                        round_no: int, indices: Iterable[int],
-                        ) -> Tuple[List[Tuple[int, int, List[int]]],
-                                   List[dict]]:
-    """Split one round's slot indices into batch groups.
-
-    Same bucketing as :func:`order_round` (one bucket per shared golden
-    checkpoint, cold starts in bucket -1), then each bucket is cut into
-    groups of at most ``resolved_batch()`` slots.  Returns ``(group id,
-    checkpoint bucket, slot indices)`` triples in deterministic order plus
-    the same manifest ``bucket`` records the scalar scheduler emits —
-    batching refines the schedule, it never changes it."""
-    lanes = config.resolved_batch()
-    buckets: Dict[int, List[int]] = {}
-    for index in indices:
-        bucket = slot_checkpoint_bucket(injector, category, setup, config,
-                                        index)
-        buckets.setdefault(bucket, []).append(index)
-    groups: List[Tuple[int, int, List[int]]] = []
-    records: List[dict] = []
-    group_id = 0
     for bucket in sorted(buckets):
         indices = buckets[bucket]
         records.append({"round": round_no, "checkpoint": bucket,
                         "slots": len(indices)})
         for i in range(0, len(indices), lanes):
-            groups.append((group_id, bucket, indices[i:i + lanes]))
-            group_id += 1
+            groups.append(SlotGroup(len(groups), bucket, indices[i:i + lanes]))
     return groups, records
 
 
@@ -631,49 +613,96 @@ def run_batch_group(injector: BaseInjector, category: str,
     return slots, stats
 
 
-def run_rounds(injector: BaseInjector, category: str, setup: CampaignSetup,
-               config: CampaignConfig,
-               ) -> Tuple[List[SlotResult], List[dict], List[dict],
-                          List[dict]]:
-    """Execute trial slots in-process, round by round and bucket-ordered,
-    stopping early once converged.  Returns (slots, round records, bucket
-    records, batch records); the parallel engine implements the same loop
-    with each round's ordered indices fanned out over the pool.
-
-    With ``config.resolved_batch() > 0`` each bucket's slots run as batch
-    groups (shared sweep + COW forks) instead of one by one; the slots
-    produced are bit-identical either way."""
-    slots: List[SlotResult] = []
-    rounds: List[dict] = []
-    bucket_records: List[dict] = []
-    batch_records: List[dict] = []
+def run_groups(injector: BaseInjector, category: str, setup: CampaignSetup,
+               config: CampaignConfig, round_no: int,
+               groups: Iterable[SlotGroup],
+               ) -> Tuple[List[SlotResult], List[dict]]:
+    """The group executor: run scheduled groups in this process.  With
+    batching off each group's slot runs through :func:`run_trial_slot`;
+    with it on each group runs as one shared sweep
+    (:func:`run_batch_group`).  Returns the slots plus, when tracing, one
+    manifest ``batch`` record per batch group."""
     batching = config.resolved_batch() > 0
-    for round_no, (start, end) in enumerate(plan_rounds(config)):
+    slots: List[SlotResult] = []
+    records: List[dict] = []
+    for group in groups:
         if batching:
-            groups, buckets = order_round_batches(
-                injector, category, setup, config, round_no,
-                range(start, end))
-            bucket_records.extend(buckets)
-            for group_id, bucket, indices in groups:
-                group_slots, stats = run_batch_group(
-                    injector, category, setup, config, indices)
-                slots.extend(group_slots)
-                if config.tracing:
-                    batch_records.append(
-                        stats.to_record(round_no, group_id, bucket))
+            group_slots, stats = run_batch_group(injector, category, setup,
+                                                 config, group.indices)
+            slots.extend(group_slots)
+            if config.tracing:
+                records.append(stats.to_record(round_no, group.id,
+                                               group.bucket))
         else:
-            ordered, buckets = order_round(injector, category, setup,
-                                           config, round_no,
-                                           range(start, end))
-            bucket_records.extend(buckets)
             slots.extend(run_trial_slot(injector, category, setup, config,
                                         index)
-                         for index in ordered)
+                         for index in group.indices)
+    return slots, records
+
+
+#: A round executor: runs one round's slot indices and returns their
+#: results, or None to abandon the campaign (a cancelled service job).
+RoundExecutor = Callable[[int, range], Optional[List[SlotResult]]]
+
+
+def run_rounds(config: CampaignConfig, execute: RoundExecutor,
+               ) -> Optional[Tuple[List[SlotResult], List[dict]]]:
+    """The round driver every campaign path runs: for each round from
+    :func:`plan_rounds`, hand the round's slot indices to ``execute``,
+    then evaluate the stop decision on the whole slot prefix and stop
+    once converged.  Returns (slots, manifest ``round`` records), or None
+    when the executor abandons the campaign.
+
+    Executors differ only in *where* a round's slots run: in-process
+    groups (:class:`LocalRounds`), pool chunks of groups
+    (:func:`repro.fi.engine.run_parallel_campaign`), or shards
+    (:mod:`repro.service`).  Round boundaries and stop decisions are
+    functions of the config and the slot prefix alone, which is what
+    makes every executor bit-identical to every other."""
+    slots: List[SlotResult] = []
+    rounds: List[dict] = []
+    for round_no, (start, end) in enumerate(plan_rounds(config)):
+        round_slots = execute(round_no, range(start, end))
+        if round_slots is None:
+            return None
+        slots.extend(round_slots)
         decision = evaluate_stop(slots, config)
         rounds.append(decision.to_record(round_no))
         if decision.stop:
             break
-    return slots, rounds, bucket_records, batch_records
+    return slots, rounds
+
+
+class LocalRounds:
+    """Round executor that runs each round's groups in this process,
+    collecting the manifest records of what it ran.  The parallel engine
+    subclasses it to fan the same groups out over a worker pool."""
+
+    def __init__(self, injector: BaseInjector, category: str,
+                 setup: CampaignSetup, config: CampaignConfig) -> None:
+        self.injector = injector
+        self.category = category
+        self.setup = setup
+        self.config = config
+        self.buckets: List[dict] = []
+        self.batches: List[dict] = []
+        #: Worker chunk records and recorder counters (pool executors).
+        self.chunks: List[dict] = []
+        self.counters: List[Dict[str, int]] = []
+
+    def schedule(self, round_no: int, indices: range) -> List[SlotGroup]:
+        groups, buckets = order_round(self.injector, self.category,
+                                      self.setup, self.config, round_no,
+                                      indices)
+        self.buckets.extend(buckets)
+        return groups
+
+    def __call__(self, round_no: int, indices: range) -> List[SlotResult]:
+        slots, batches = run_groups(self.injector, self.category,
+                                    self.setup, self.config, round_no,
+                                    self.schedule(round_no, indices))
+        self.batches.extend(batches)
+        return slots
 
 
 def merged_result(tool: str, category: str, slots: List[SlotResult],
@@ -779,26 +808,12 @@ def run_slot_subset(injector: BaseInjector, category: str,
                     setup: CampaignSetup, config: CampaignConfig,
                     indices: Sequence[int]) -> List[SlotResult]:
     """Execute an arbitrary subset of slot indices — one shard of a
-    round.  The subset is checkpoint-bucket-ordered (and batch-grouped
-    when batching is on) exactly like a full round, and each slot runs
-    its own RNG stream, so the slots produced are bit-identical to the
-    same indices of an unsharded run."""
-    slots: List[SlotResult] = []
-    if config.resolved_batch() > 0:
-        groups, _ = order_round_batches(injector, category, setup, config,
-                                        0, indices)
-        for _group_id, _bucket, group_indices in groups:
-            group_slots, _stats = run_batch_group(injector, category,
-                                                  setup, config,
-                                                  group_indices)
-            slots.extend(group_slots)
-    else:
-        ordered, _ = order_round(injector, category, setup, config, 0,
-                                 indices)
-        slots.extend(run_trial_slot(injector, category, setup, config,
-                                    index)
-                     for index in ordered)
-    return slots
+    round.  The subset is scheduled and run exactly like a full round
+    (:func:`order_round` + :func:`run_groups`), and each slot runs its
+    own RNG stream, so the slots produced are bit-identical to the same
+    indices of an unsharded run."""
+    groups, _ = order_round(injector, category, setup, config, 0, indices)
+    return run_groups(injector, category, setup, config, 0, groups)[0]
 
 
 # -- run manifests -------------------------------------------------------------
@@ -949,32 +964,41 @@ def write_campaign_manifest(manifest: RunManifest, trace_dir: str) -> str:
     return write_manifest(path, manifest)
 
 
-def run_campaign(injector: BaseInjector, category: str,
-                 config: Optional[CampaignConfig] = None) -> CampaignResult:
-    """Run one (tool, category) fault-injection campaign in-process.
+@contextmanager
+def no_recording():
+    """Stand-in for ``recording()`` when the campaign does not trace."""
+    yield NULL_RECORDER
 
-    Bit-identical to ``run_parallel_campaign`` at any job count: both paths
-    execute the same per-slot streams round by round and aggregate with
-    :func:`aggregate_slots`."""
+
+def run_campaign(injector: BaseInjector, category: str,
+                 config: Optional[CampaignConfig] = None,
+                 executor: Callable[..., LocalRounds] = LocalRounds,
+                 ) -> CampaignResult:
+    """Run one (tool, category) fault-injection campaign: prepare, drive
+    the rounds (:func:`run_rounds`) through ``executor``, aggregate, and
+    write the run manifest when tracing.
+
+    ``executor`` is called as ``executor(injector, category, setup,
+    config)`` once the campaign is prepared; the default runs every round
+    in-process, the parallel engine passes its pool executor.  The result
+    is bit-identical either way: every executor runs the same per-slot
+    streams round by round and :func:`aggregate_slots` sorts by slot."""
     config = config or CampaignConfig()
-    if not config.tracing:
-        setup = prepare_campaign(injector, category, config)
-        slots, _, _, _ = run_rounds(injector, category, setup, config)
-        return aggregate_slots(injector.name, category, config, setup, slots)
     t0 = time.perf_counter()
     baseline = snapshot_prep(injector)
-    with recording() as rec:
+    with recording() if config.tracing else no_recording() as rec:
         setup = prepare_campaign(injector, category, config)
         prep = prep_delta(injector, baseline)
-        slots, rounds, buckets, batches = run_rounds(injector, category,
-                                                     setup, config)
+        runner = executor(injector, category, setup, config)
+        slots, rounds = run_rounds(config, runner)
     result = aggregate_slots(injector.name, category, config, setup, slots)
     if config.trace_dir:
         manifest = build_run_manifest(
             injector, category, config, setup, slots, result, prep,
-            wall_s=time.perf_counter() - t0,
-            counters=[rec.counters_snapshot()],
-            rounds=rounds, buckets=buckets, batches=batches)
+            wall_s=time.perf_counter() - t0, chunks=runner.chunks,
+            counters=runner.counters + [rec.counters_snapshot()],
+            rounds=rounds, buckets=runner.buckets,
+            batches=runner.batches)
         write_campaign_manifest(manifest, config.trace_dir)
     return result
 

@@ -2,11 +2,12 @@
 
 Campaign trials are independent by construction (each slot owns a
 deterministic RNG stream, see ``repro.fi.campaign``), so a campaign
-parallelises perfectly: pre-assign slot indices to chunks, run chunks on a
-``multiprocessing`` pool, and fold the ``SlotResult`` stream back into a
-``CampaignResult`` in the parent.  ``jobs=1`` and ``jobs=N`` are
-bit-identical — both execute the same per-slot streams and the aggregate
-sorts by slot index.
+parallelises perfectly.  The engine is the campaign round driver with a
+pool round executor: the parent schedules each round as checkpoint
+groups, workers run contiguous chunks of groups on a ``multiprocessing``
+pool, and the ``SlotResult`` stream folds back into a ``CampaignResult``
+in the parent.  ``jobs=1`` and ``jobs=N`` are bit-identical — both
+execute the same per-slot streams and the aggregate sorts by slot index.
 
 Workers never receive simulator state: injector candidate sets are keyed by
 ``id()`` and would not survive pickling.  Instead each worker rebuilds the
@@ -25,34 +26,26 @@ inherited shows up.
 from __future__ import annotations
 
 import atexit
+import functools
 import multiprocessing
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import FaultInjectionError
 from repro.fi.base import BaseInjector
 from repro.fi.campaign import (
-    CampaignConfig, CampaignResult, SlotResult, aggregate_slots,
-    build_run_manifest, evaluate_stop, order_round, order_round_batches,
-    plan_rounds, prep_delta, prepare_campaign, run_batch_group, run_rounds,
-    run_trial_slot, snapshot_prep, write_campaign_manifest,
+    CampaignConfig, CampaignResult, CampaignSetup, LocalRounds, SlotGroup,
+    SlotResult, no_recording, prepare_campaign, run_campaign, run_groups,
 )
 from repro.fi.llfi import LLFIInjector, LLFIOptions
 from repro.fi.pinfi import PINFIInjector, PINFIOptions
-from repro.obs import NULL_RECORDER, recording
+from repro.obs import recording
 
 #: Chunks handed out per worker; >1 smooths load imbalance between chunks
 #: (individual injection runs vary in length — crashes are short).
 _CHUNKS_PER_JOB = 4
-
-
-@contextmanager
-def _no_recording():
-    """Placeholder for ``recording()`` when the campaign does not trace."""
-    yield NULL_RECORDER
 
 
 @dataclass(frozen=True)
@@ -111,76 +104,41 @@ def forget_workload(workload: str) -> None:
         shutdown_pool()
 
 
-def _run_chunk(task: Tuple[InjectorSpec, str, CampaignConfig, List[int]]
-               ) -> Tuple[List[SlotResult], Optional[dict]]:
-    """Worker entry point: execute one chunk of pre-assigned slot indices.
+def _run_chunk(task: Tuple[InjectorSpec, str, CampaignConfig, int,
+                           List[SlotGroup]]
+               ) -> Tuple[List[SlotResult], List[dict], Optional[dict]]:
+    """Worker entry point: run one chunk of scheduled groups through the
+    group executor (:func:`~repro.fi.campaign.run_groups`).  Groups are
+    atomic — a batch group's lanes fork from the one sweep this worker
+    runs — so results are independent of the chunk layout.
 
-    Returns the slot results plus, when the campaign traces, a chunk
-    record (worker PID, slot indices, wall time, recorder counters) for
-    the run manifest.  Workers never write manifests themselves — the
-    parent merges chunk records deterministically."""
-    spec, category, config, indices = task
-    injector = injector_for_spec(spec)
-    if not config.tracing:
-        setup = prepare_campaign(injector, category, config)
-        return [run_trial_slot(injector, category, setup, config, index)
-                for index in indices], None
-    t0 = time.perf_counter()
-    with recording() as rec:
-        setup = prepare_campaign(injector, category, config)
-        slots = [run_trial_slot(injector, category, setup, config, index)
-                 for index in indices]
-    info = {"worker": os.getpid(), "slots": list(indices),
-            "wall_s": round(time.perf_counter() - t0, 6),
-            "counters": rec.counters_snapshot()}
-    return slots, info
-
-
-def _run_batch_chunk(task: Tuple[InjectorSpec, str, CampaignConfig, int,
-                                 List[Tuple[int, int, List[int]]]]
-                     ) -> Tuple[List[SlotResult], List[dict],
-                                Optional[dict]]:
-    """Worker entry point for batched dispatch: execute whole batch
-    groups.  Groups are atomic — every lane of a group forks from the one
-    sweep this worker runs — so chunking happens at group granularity and
-    results stay independent of the chunk layout."""
+    Returns the slot results, the batch records and, when the campaign
+    traces, a chunk record (worker PID, slot indices, wall time, recorder
+    counters) for the run manifest.  Workers never write manifests
+    themselves — the parent merges chunk records deterministically."""
     spec, category, config, round_no, groups = task
     injector = injector_for_spec(spec)
-    batch_records: List[dict] = []
-
-    def run_groups(setup) -> List[SlotResult]:
-        slots: List[SlotResult] = []
-        for group_id, bucket, indices in groups:
-            group_slots, stats = run_batch_group(injector, category, setup,
-                                                 config, indices)
-            slots.extend(group_slots)
-            if config.tracing:
-                batch_records.append(
-                    stats.to_record(round_no, group_id, bucket))
-        return slots
-
-    if not config.tracing:
-        setup = prepare_campaign(injector, category, config)
-        return run_groups(setup), batch_records, None
     t0 = time.perf_counter()
-    with recording() as rec:
+    with recording() if config.tracing else no_recording() as rec:
         setup = prepare_campaign(injector, category, config)
-        slots = run_groups(setup)
+        slots, batches = run_groups(injector, category, setup, config,
+                                    round_no, groups)
+    if not config.tracing:
+        return slots, batches, None
     info = {"worker": os.getpid(),
-            "slots": [i for _, _, indices in groups for i in indices],
-            "batches": [group_id for group_id, _, _ in groups],
+            "slots": [i for group in groups for i in group.indices],
             "wall_s": round(time.perf_counter() - t0, 6),
             "counters": rec.counters_snapshot()}
-    return slots, batch_records, info
+    if batches:
+        info["batches"] = [group.id for group in groups]
+    return slots, batches, info
 
 
 def _warm_key(spec_key: str, injector: BaseInjector) -> str:
     """What a forked worker must have inherited to skip redundant work:
     the built injector (with its golden/profiling memos) *and* its
-    checkpoint store for the requested stride policy (including the
-    decoded-cache sizing, which is part of the store memo)."""
-    return (f"{spec_key}|ckpt={injector.checkpoint_request}"
-            f"|dc={injector.decoded_cache_request}")
+    checkpoint store for the requested stride policy."""
+    return f"{spec_key}|ckpt={injector.checkpoint_request}"
 
 
 # -- pool management -----------------------------------------------------------
@@ -233,42 +191,58 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def _chunk_list(indices: List[int], jobs: int) -> List[List[int]]:
-    """Split pre-ordered slot indices into contiguous chunks.  Contiguity
-    matters: the indices arrive bucket-ordered, so a contiguous chunk
-    spans few checkpoint buckets and its worker reuses few snapshot
-    decodes."""
-    n = len(indices)
-    nchunks = max(1, min(n, jobs * _CHUNKS_PER_JOB))
-    size = -(-n // nchunks)  # ceil
-    return [indices[i:i + size] for i in range(0, n, size)]
-
-
-def _chunk_indices(trials: int, jobs: int) -> List[List[int]]:
-    return _chunk_list(list(range(trials)), jobs)
-
-
-def _chunk_groups(groups: List[Tuple[int, int, List[int]]], jobs: int,
-                  ) -> List[List[Tuple[int, int, List[int]]]]:
-    """Split batch groups into contiguous chunks, balancing by slot count
-    (groups vary in size: the last group of a bucket is a remainder).
-    Groups are never split — a group's lanes must share one sweep in one
-    worker process."""
-    total = sum(len(indices) for _, _, indices in groups)
+def _chunk_groups(groups: List[SlotGroup], jobs: int,
+                  ) -> List[List[SlotGroup]]:
+    """Split scheduled groups into contiguous chunks, balancing by slot
+    count (batch groups vary in size: the last group of a bucket is a
+    remainder).  Contiguity matters: groups arrive bucket-ordered, so a
+    contiguous chunk spans few checkpoint buckets and its worker reuses
+    few snapshot decodes.  Groups are never split — a batch group's
+    lanes must share one sweep in one worker process."""
+    total = sum(len(group.indices) for group in groups)
     nchunks = max(1, min(len(groups), jobs * _CHUNKS_PER_JOB))
     target = -(-total // nchunks)  # ceil
-    chunks: List[List[Tuple[int, int, List[int]]]] = []
-    current: List[Tuple[int, int, List[int]]] = []
+    chunks: List[List[SlotGroup]] = []
+    current: List[SlotGroup] = []
     current_slots = 0
     for group in groups:
         if current and current_slots >= target:
             chunks.append(current)
             current, current_slots = [], 0
         current.append(group)
-        current_slots += len(group[2])
+        current_slots += len(group.indices)
     if current:
         chunks.append(current)
     return chunks
+
+
+class _PoolRounds(LocalRounds):
+    """Round executor that schedules each round in the parent and fans
+    its groups out over the worker pool in contiguous chunks."""
+
+    def __init__(self, spec: InjectorSpec, jobs: int,
+                 injector: BaseInjector, category: str,
+                 setup: CampaignSetup, config: CampaignConfig) -> None:
+        super().__init__(injector, category, setup, config)
+        self.spec = spec
+        self.jobs = jobs
+        # Created after preparation, so a freshly forked pool inherits
+        # the parent's golden, profiling and checkpoint caches.
+        self.pool = _get_pool(jobs, _warm_key(spec.key(), injector))
+
+    def __call__(self, round_no: int, indices: range) -> List[SlotResult]:
+        groups = self.schedule(round_no, indices)
+        tasks = [(self.spec, self.category, self.config, round_no, chunk)
+                 for chunk in _chunk_groups(groups, self.jobs)]
+        slots: List[SlotResult] = []
+        for chunk_slots, batches, info in self.pool.map(_run_chunk, tasks):
+            slots.extend(chunk_slots)
+            self.batches.extend(batches)
+            if info is not None:
+                self.counters.append(info.pop("counters"))
+                info["chunk"] = len(self.chunks)
+                self.chunks.append(info)
+        return slots
 
 
 def run_parallel_campaign(spec: InjectorSpec, category: str,
@@ -277,78 +251,17 @@ def run_parallel_campaign(spec: InjectorSpec, category: str,
     """Run one (tool, category) campaign, fanned out over ``jobs`` workers.
 
     ``jobs`` defaults to ``config.jobs``; 1 runs in-process (no pool).
-    The result is bit-identical for every job count: rounds, stop
-    decisions and per-slot streams are all functions of the config alone.
-    Each round's bucket-ordered indices are chunked contiguously over the
-    pool; the stop decision is evaluated in the parent on the full slot
-    prefix after every round, exactly like the in-process path."""
+    This is :func:`~repro.fi.campaign.run_campaign` with the pool round
+    executor: the parent prepares the campaign (build + golden + profile
+    + checkpoints — a forked pool inherits those caches, so workers skip
+    them), schedules each round as groups, and the workers run contiguous
+    chunks of them.  The stop decision is evaluated in the parent on the
+    full slot prefix after every round, so the result is bit-identical
+    for every job count."""
     config = config or CampaignConfig()
     jobs = resolve_jobs(config.jobs if jobs is None else jobs)
-    # Build + golden + profile (+ record checkpoints) in the parent first:
-    # the result needs N and the golden instruction count anyway, and a
-    # forked pool inherits these caches so workers skip them entirely.
     injector = injector_for_spec(spec)
-    tracing = config.tracing
-    t0 = time.perf_counter()
-    baseline = snapshot_prep(injector)
-    chunks: List[dict] = []
-    counters: List[Dict[str, int]] = []
-    rounds: List[dict] = []
-    buckets: List[dict] = []
-    batches: List[dict] = []
-    batching = config.resolved_batch() > 0
-    with recording() if tracing else _no_recording() as rec:
-        setup = prepare_campaign(injector, category, config)
-        prep = prep_delta(injector, baseline)
-        if jobs <= 1 or config.trials <= 1:
-            slots, rounds, buckets, batches = run_rounds(
-                injector, category, setup, config)
-        else:
-            pool = _get_pool(jobs, _warm_key(spec.key(), injector))
-            slots: List[SlotResult] = []
-            chunk_id = 0
-            for round_no, (start, end) in enumerate(plan_rounds(config)):
-                if batching:
-                    groups, bucket_records = order_round_batches(
-                        injector, category, setup, config, round_no,
-                        range(start, end))
-                    buckets.extend(bucket_records)
-                    tasks = [(spec, category, config, round_no, chunk)
-                             for chunk in _chunk_groups(groups, jobs)]
-                    for chunk_slots, records, info in pool.map(
-                            _run_batch_chunk, tasks):
-                        slots.extend(chunk_slots)
-                        batches.extend(records)
-                        if info is not None:
-                            counters.append(info.pop("counters"))
-                            info["chunk"] = chunk_id
-                            chunks.append(info)
-                        chunk_id += 1
-                else:
-                    ordered, bucket_records = order_round(
-                        injector, category, setup, config, round_no,
-                        range(start, end))
-                    buckets.extend(bucket_records)
-                    tasks = [(spec, category, config, chunk)
-                             for chunk in _chunk_list(ordered, jobs)]
-                    for chunk_slots, info in pool.map(_run_chunk, tasks):
-                        slots.extend(chunk_slots)
-                        if info is not None:
-                            counters.append(info.pop("counters"))
-                            info["chunk"] = chunk_id
-                            chunks.append(info)
-                        chunk_id += 1
-                decision = evaluate_stop(slots, config)
-                rounds.append(decision.to_record(round_no))
-                if decision.stop:
-                    break
-    result = aggregate_slots(injector.name, category, config, setup, slots)
-    if config.trace_dir:
-        counters.append(rec.counters_snapshot())
-        manifest = build_run_manifest(
-            injector, category, config, setup, slots, result, prep,
-            wall_s=time.perf_counter() - t0, chunks=chunks,
-            counters=counters, rounds=rounds, buckets=buckets,
-            batches=batches)
-        write_campaign_manifest(manifest, config.trace_dir)
-    return result
+    if jobs <= 1 or config.trials <= 1:
+        return run_campaign(injector, category, config)
+    return run_campaign(injector, category, config,
+                        executor=functools.partial(_PoolRounds, spec, jobs))

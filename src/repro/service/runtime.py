@@ -34,15 +34,15 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import FaultInjectionError
 from repro.fi.base import BaseInjector
 from repro.fi.campaign import (
     CampaignConfig, CampaignResult, PrepStats, SlotResult,
-    build_run_manifest, evaluate_stop, merge_slot_shards, merged_result,
-    plan_rounds, prep_delta, prepare_campaign, run_slot_subset,
-    slot_from_json, slot_to_json, snapshot_prep, write_campaign_manifest,
+    build_run_manifest, merge_slot_shards, merged_result, prep_delta,
+    prepare_campaign, run_rounds, run_slot_subset, slot_from_json,
+    slot_to_json, snapshot_prep, write_campaign_manifest,
 )
 from repro.fi.engine import injector_for_spec, run_parallel_campaign
 from repro.service.request import CampaignRequest, split_shard_indices
@@ -222,17 +222,51 @@ def merge_shard_payloads(payloads: Sequence[dict],
     return slots, candidates, golden_instructions
 
 
+class ShardRounds:
+    """Round executor of the shard protocol: partition the round's slot
+    indices into ``shards`` pieces, hand them to ``dispatch(round_no,
+    partitions)`` — which returns one payload per partition, or None to
+    abandon the campaign — and merge the payloads.  Keeps the manifest
+    ``shard`` records and the setup scalars the final aggregate needs."""
+
+    def __init__(self, shards: int,
+                 dispatch: Callable[[int, List[List[int]]],
+                                    Optional[List[dict]]]) -> None:
+        self.shards = shards
+        self.dispatch = dispatch
+        self.records: List[dict] = []
+        self.candidates: Optional[int] = None
+        self.golden_instructions: Optional[int] = None
+
+    def __call__(self, round_no: int,
+                 indices: range) -> Optional[List[SlotResult]]:
+        partitions = split_shard_indices(indices, self.shards)
+        payloads = self.dispatch(round_no, partitions)
+        if payloads is None:
+            return None
+        self.records += [shard_record(p, round_no, i)
+                         for i, p in enumerate(payloads)]
+        slots, self.candidates, self.golden_instructions = \
+            merge_shard_payloads(payloads)
+        return slots
+
+    def result(self, request: CampaignRequest,
+               slots: List[SlotResult]) -> CampaignResult:
+        return merged_result(request.tool, request.category, slots,
+                             self.candidates, self.golden_instructions)
+
+
 def run_request_sharded(request: CampaignRequest, shards: int,
                         store: Optional[CampaignStore] = None,
                         config: Optional[CampaignConfig] = None,
                         ) -> CampaignResult:
     """Reference implementation of the round-barrier shard protocol,
-    entirely in-process: per round from :func:`plan_rounds`, partition
-    the round's slot indices into ``shards`` pieces, run each through
-    :func:`run_shard`, merge, evaluate the stop decision on the merged
-    prefix — exactly the loop the HTTP coordinator drives over claimed
-    store shards.  Bit-identical to a local ``jobs=1`` run for any shard
-    count (asserted by ``tests/service/test_shard_merge.py``).
+    entirely in-process: the campaign round driver
+    (:func:`~repro.fi.campaign.run_rounds`) with a :class:`ShardRounds`
+    executor that runs each shard through :func:`run_shard` — the HTTP
+    coordinator runs the same driver over claimed store shards.
+    Bit-identical to a local ``jobs=1`` run for any shard count
+    (asserted by ``tests/service/test_shard_merge.py``).
 
     When the config traces (``trace_dir``), a schema-v6 run manifest is
     written with one ``shard`` record per executed shard and a
@@ -240,36 +274,23 @@ def run_request_sharded(request: CampaignRequest, shards: int,
     run."""
     run_config = request.to_config(like=config)
     t0 = time.perf_counter()
-    all_slots: List[SlotResult] = []
-    shard_records: List[dict] = []
-    rounds: List[dict] = []
-    candidates = golden_instructions = None
-    for round_no, (start, end) in enumerate(plan_rounds(run_config)):
-        partitions = split_shard_indices(range(start, end), shards)
-        payloads = [run_shard(request, part, store=store, config=config)
-                    for part in partitions]
-        shard_records += [shard_record(p, round_no, i)
-                          for i, p in enumerate(payloads)]
-        slots, candidates, golden_instructions = \
-            merge_shard_payloads(payloads)
-        all_slots.extend(slots)
-        decision = evaluate_stop(all_slots, run_config)
-        rounds.append(decision.to_record(round_no))
-        if decision.stop:
-            break
-    result = merged_result(request.tool, request.category, all_slots,
-                           candidates, golden_instructions)
+    executor = ShardRounds(shards, lambda round_no, partitions: [
+        run_shard(request, part, store=store, config=config)
+        for part in partitions])
+    slots, rounds = run_rounds(run_config, executor)
+    result = executor.result(request, slots)
     if run_config.trace_dir:
         # The shard runner is in-process, so the (memoised) injector and
         # setup are at hand; prep cost is the sum the shards reported.
         injector = injector_for_spec(request.injector_spec())
         setup = prepare_campaign(injector, request.category, run_config)
         prep = PrepStats(
-            executions=sum(s["prep_executions"] for s in shard_records),
-            instructions=sum(s["prep_instructions"] for s in shard_records))
+            executions=sum(s["prep_executions"] for s in executor.records),
+            instructions=sum(s["prep_instructions"]
+                             for s in executor.records))
         manifest = build_run_manifest(
-            injector, request.category, run_config, setup, all_slots,
+            injector, request.category, run_config, setup, slots,
             result, prep, wall_s=time.perf_counter() - t0, rounds=rounds,
-            shards=shard_records, service={"shards": shards})
+            shards=executor.records, service={"shards": shards})
         write_campaign_manifest(manifest, run_config.trace_dir)
     return result

@@ -3,14 +3,13 @@
 ``python -m repro.service serve`` starts two things:
 
 * a **coordinator** thread that drains the store's job queue in FIFO
-  order.  For each job it drives the round-barrier shard protocol:
-  per round from :func:`~repro.fi.campaign.plan_rounds`, partition the
-  round's slot indices into the job's shard count, enqueue them as
-  store shards, wait for workers to finish the round, merge the payloads
-  (:func:`~repro.service.runtime.merge_shard_payloads`), evaluate the
-  Wilson-CI stop decision on the merged prefix — exactly the loop a
-  local run executes — then aggregate with
-  :func:`~repro.fi.campaign.merged_result` and persist the result.
+  order.  For each job it drives the round-barrier shard protocol: the
+  campaign round driver (:func:`~repro.fi.campaign.run_rounds`) — the
+  same loop a local run executes — with a
+  :class:`~repro.service.runtime.ShardRounds` executor that partitions
+  each round's slot indices into the job's shard count, enqueues them as
+  store shards, waits for workers to finish the round and merges the
+  payloads.  The merged result is persisted.
   Cache hits complete immediately without creating shards.
 
 * a :class:`ThreadingHTTPServer` exposing the JSON API (all bodies and
@@ -45,11 +44,9 @@ from typing import List, Optional
 from urllib.parse import parse_qs, urlparse
 
 from repro.errors import FaultInjectionError
-from repro.fi.campaign import (
-    SlotResult, evaluate_stop, merged_result, plan_rounds,
-)
-from repro.service.request import CampaignRequest, split_shard_indices
-from repro.service.runtime import merge_shard_payloads
+from repro.fi.campaign import run_rounds
+from repro.service.request import CampaignRequest
+from repro.service.runtime import ShardRounds
 from repro.service.store import SQLiteStore
 
 #: Accelerator knobs a submission may set on its workers.  Everything
@@ -60,7 +57,7 @@ from repro.service.store import SQLiteStore
 #: persisted (see repro/vm/snapshot.py), and a primed worker that
 #: records them would perform a whole-program run the dedup accounting
 #: should not show.
-ACCEL_KNOBS = ("checkpoint_stride", "batch", "decoded_cache", "no_compile")
+ACCEL_KNOBS = ("checkpoint_stride", "batch", "no_compile")
 
 
 def _shard_summary(shards: List[dict]) -> dict:
@@ -109,35 +106,29 @@ class Coordinator(threading.Thread):
             self.store.set_job_state(job_id, "done", cached=True)
             return
         self.store.set_job_state(job_id, "running")
-        config = request.to_config()
-        slots: List[SlotResult] = []
-        candidates = golden_instructions = None
+
+        def dispatch(round_no: int,
+                     partitions: List[List[int]]) -> Optional[List[dict]]:
+            self.store.create_shards(job_id, round_no, partitions)
+            return self._await_round(job_id, round_no, len(partitions))
+
+        executor = ShardRounds(job["shards"], dispatch)
         try:
-            for round_no, (start, end) in enumerate(plan_rounds(config)):
-                partitions = split_shard_indices(range(start, end),
-                                                 job["shards"])
-                self.store.create_shards(job_id, round_no, partitions)
-                finished = self._await_round(job_id, round_no,
-                                             len(partitions))
-                if finished is None:  # cancelled
-                    return
-                round_slots, candidates, golden_instructions = \
-                    merge_shard_payloads([s["payload"] for s in finished])
-                slots.extend(round_slots)
-                if evaluate_stop(slots, config).stop:
-                    break
-            result = merged_result(request.tool, request.category, slots,
-                                   candidates, golden_instructions)
-            self.store.put_result(request, result)
+            outcome = run_rounds(request.to_config(), executor)
+            if outcome is None:  # cancelled
+                return
+            self.store.put_result(request, executor.result(request,
+                                                           outcome[0]))
             self.store.set_job_state(job_id, "done")
         except FaultInjectionError as exc:
             self.store.set_job_state(job_id, "failed", error=str(exc))
 
     def _await_round(self, job_id: int, round_no: int,
                      expected: int) -> Optional[List[dict]]:
-        """Block until every shard of one round is done; None when the
-        job was cancelled meanwhile, FaultInjectionError when a shard
-        failed (its error is surfaced on the job)."""
+        """Block until every shard of one round is done and return their
+        payloads; None when the job was cancelled meanwhile,
+        FaultInjectionError when a shard failed (its error is surfaced on
+        the job)."""
         while not self._stopping.is_set():
             job = self.store.job(job_id)
             if job is None or job["state"] == "cancelled":
@@ -150,7 +141,7 @@ class Coordinator(threading.Thread):
                     f"failed: {failed[0]['error']}")
             done = [s for s in shards if s["state"] == "done"]
             if len(done) == expected:
-                return done
+                return [s["payload"] for s in done]
             time.sleep(self.poll_s)
         return None
 

@@ -37,7 +37,6 @@ def config_from_accel(accel: dict) -> CampaignConfig:
     return CampaignConfig(
         checkpoint_stride=int(accel.get("checkpoint_stride", 0)),
         batch=int(accel.get("batch", 0)),
-        decoded_cache=int(accel.get("decoded_cache", 0)),
         no_compile=bool(accel.get("no_compile", False)))
 
 

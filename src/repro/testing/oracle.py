@@ -86,13 +86,6 @@ def _fingerprint(result: ExecutionResult) -> Tuple:
     return (result.status, result.output, result.exit_value)
 
 
-def _describe(result: ExecutionResult) -> str:
-    text = f"status={result.status} exit={result.exit_value}"
-    if result.trap is not None:
-        text += f" trap={result.trap}"
-    return f"{text} output={result.output!r}"
-
-
 def _diff(a: ExecutionResult, b: ExecutionResult,
           a_name: str, b_name: str) -> str:
     parts = []

@@ -785,13 +785,6 @@ _FLOAT_BINOPS: Dict[str, Callable[[float, float], float]] = {
 }
 
 
-def _float_binop(op: str, a: float, b: float) -> float:
-    handler = _FLOAT_BINOPS.get(op)
-    if handler is None:
-        raise ReproError(f"unknown float binop {op}")
-    return handler(a, b)
-
-
 def _fptosi(value: float, bits: int) -> int:
     """x86 cvttsd2si semantics: truncate toward zero; out of range or NaN
     produces the "integer indefinite" (minimum signed value)."""

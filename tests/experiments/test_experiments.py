@@ -97,7 +97,6 @@ class TestCampaignCell:
     def test_cache_key_covers_all_result_affecting_fields(self):
         """Regression: hang_factor, max_attempts_factor and the fault model
         used to be missing from the key, silently returning stale results."""
-        from repro.fi import MultiBitFlip
         from repro.service import CampaignRequest
 
         def key(config):
@@ -109,7 +108,7 @@ class TestCampaignCell:
         variants = [
             CampaignConfig(trials=5, seed=123, hang_factor=7),
             CampaignConfig(trials=5, seed=123, max_attempts_factor=3),
-            CampaignConfig(trials=5, seed=123, model=MultiBitFlip(2)),
+            CampaignConfig(trials=5, seed=123, fault_model="multibit-2"),
             CampaignConfig(trials=6, seed=123),
             CampaignConfig(trials=5, seed=124),
             # Early stopping changes how many slots run, so the margin —

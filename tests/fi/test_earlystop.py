@@ -35,6 +35,10 @@ def built():
     return module, program
 
 
+def _flatten(groups):
+    return [i for group in groups for i in group.indices]
+
+
 def _slot(index, outcome=None, not_activated=0):
     if outcome is None:
         return SlotResult(index, None, not_activated)
@@ -186,23 +190,26 @@ class TestBucketScheduler:
         inj = _fresh("LLFI", built)
         config = CampaignConfig(trials=12, seed=99, checkpoint_stride=25)
         setup = prepare_campaign(inj, "all", config)
-        ordered, records = order_round(inj, "all", setup, config, 0,
-                                       range(12))
+        groups, records = order_round(inj, "all", setup, config, 0,
+                                      range(12))
+        ordered = _flatten(groups)
         assert sorted(ordered) == list(range(12))
         assert sum(r["slots"] for r in records) == 12
         assert [r["checkpoint"] for r in records] == \
             sorted(r["checkpoint"] for r in records)
+        # Batching off: every group is a single slot.
+        assert all(len(g.indices) == 1 for g in groups)
         # Deterministic: same inputs, same ordering.
         again, _ = order_round(inj, "all", setup, config, 0, range(12))
-        assert again == ordered
+        assert _flatten(again) == ordered
 
     def test_no_checkpoints_is_identity_order(self, built):
         inj = _fresh("LLFI", built)
         config = CampaignConfig(trials=8, seed=99)  # stride 0: no store
         setup = prepare_campaign(inj, "all", config)
-        ordered, records = order_round(inj, "all", setup, config, 0,
-                                       range(2, 8))
-        assert ordered == list(range(2, 8))
+        groups, records = order_round(inj, "all", setup, config, 0,
+                                      range(2, 8))
+        assert _flatten(groups) == list(range(2, 8))
         assert records == [{"round": 0, "checkpoint": -1, "slots": 6}]
 
     def test_bucketed_restores_share_decodes(self, built):

@@ -14,7 +14,8 @@ from repro.fi import (
     CampaignConfig, InjectorSpec, LLFIInjector, derive_trial_seed,
     run_campaign, run_parallel_campaign, shutdown_pool, trial_stream,
 )
-from repro.fi.engine import _chunk_indices, injector_for_spec
+from repro.fi.campaign import SlotGroup
+from repro.fi.engine import _chunk_groups, injector_for_spec
 from repro.minic import compile_source
 
 SRC = """
@@ -69,13 +70,39 @@ class TestTrialStreams:
         assert len(seeds) == 4
 
 
+def _single_slot_chunks(trials, jobs):
+    """Chunk layout of an unbatched round: one group per slot."""
+    groups = [SlotGroup(i, -1, [i]) for i in range(trials)]
+    return [[i for group in chunk for i in group.indices]
+            for chunk in _chunk_groups(groups, jobs)]
+
+
 class TestChunking:
     def test_chunks_partition_indices(self):
         for trials, jobs in [(1, 1), (7, 2), (100, 4), (3, 8)]:
-            chunks = _chunk_indices(trials, jobs)
+            chunks = _single_slot_chunks(trials, jobs)
             flat = [i for chunk in chunks for i in chunk]
             assert flat == list(range(trials))
             assert all(chunks)  # no empty chunks
+
+    def test_single_slot_layout_is_pinned(self):
+        """Unbatched rounds chunk into ceil(n / min(n, 4 * jobs))-slot
+        contiguous runs, so each worker's chunk spans few checkpoint
+        buckets (decode-cache locality)."""
+        for trials in range(1, 200):
+            for jobs in range(1, 9):
+                nchunks = min(trials, jobs * 4)
+                size = -(-trials // nchunks)
+                expected = [list(range(i, min(i + size, trials)))
+                            for i in range(0, trials, size)]
+                assert _single_slot_chunks(trials, jobs) == expected
+
+    def test_batch_groups_are_never_split(self):
+        groups = [SlotGroup(0, -1, [0, 1, 2]), SlotGroup(1, 0, [3]),
+                  SlotGroup(2, 0, [4, 5, 6]), SlotGroup(3, 2, [7, 8])]
+        chunks = _chunk_groups(groups, 1)
+        assert [g for chunk in chunks for g in chunk] == groups
+        assert all(chunks)
 
 
 class TestParallelEngine:

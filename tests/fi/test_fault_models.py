@@ -280,9 +280,17 @@ class TestNoChangeAccounting:
     """No-op firings must surface as NOT_ACTIVATED redraws (the paper
     counts outcome rates over *activated* faults only)."""
 
+    @pytest.fixture
+    def noop_spec(self, monkeypatch):
+        """Register the no-op model for the duration of one test."""
+        from repro.fi.fault import _REGISTRY
+        monkeypatch.setitem(_REGISTRY, _NoopModel.name,
+                            lambda _param: _NoopModel())
+        return _NoopModel.name
+
     @pytest.mark.parametrize("tool", ["LLFI", "PINFI"])
-    def test_noop_model_never_activates(self, tool, built):
-        config = CampaignConfig(trials=3, seed=SEED, model=_NoopModel())
+    def test_noop_model_never_activates(self, tool, built, noop_spec):
+        config = CampaignConfig(trials=3, seed=SEED, fault_model=noop_spec)
         result = run_campaign(_fresh(tool, built), "all", config)
         assert result.activated == 0
         assert result.not_activated == 3 * config.max_attempts_factor
@@ -393,16 +401,6 @@ class TestCacheKeyAndConfig:
                 for m in MODELS}
         assert len(keys) == len(MODELS)
 
-    def test_model_object_and_spec_share_a_key(self):
-        from repro.service import CampaignRequest
-        by_spec = CampaignRequest.from_config(
-            "w", "LLFI", "all",
-            CampaignConfig(trials=5, seed=1, fault_model="multibit-2")).key()
-        by_object = CampaignRequest.from_config(
-            "w", "LLFI", "all",
-            CampaignConfig(trials=5, seed=1, model=MultiBitFlip(2))).key()
-        assert by_spec == by_object
-
     def test_accelerators_stay_out_of_the_key(self):
         from repro.service import CampaignRequest
         keys = {CampaignRequest.from_config(
@@ -425,11 +423,6 @@ class TestCacheKeyAndConfig:
         assert config.fault_model == "stuck-at-1"
         assert config.resolved_model().name == "stuck-at-1"
 
-    def test_model_object_overrides_the_spec(self):
-        model = MultiBitFlip(4)
-        config = CampaignConfig(fault_model="bitflip", model=model)
-        assert config.resolved_model() is model
-
 
 class TestSweep:
     def test_expand_fault_models(self):
@@ -444,17 +437,16 @@ class TestSweep:
     def test_sweep_cell_matches_standalone_run(self, tmp_path):
         """A sweep cell and a standalone run with the same --fault-model
         share one cache entry — bit-identical by construction."""
-        from repro.experiments.common import cached_campaign
+        from repro.experiments.common import campaign_cell
         from repro.experiments.sweep import collect
         config = CampaignConfig(trials=4, seed=SEED)
         cells = collect(["libquantumm"], ["arithmetic"], ["stuck-at-1"],
                         config, str(tmp_path))
         entries = os.listdir(tmp_path)
-        with pytest.warns(DeprecationWarning):
-            standalone = cached_campaign(
-                "libquantumm", "LLFI", "arithmetic",
-                dataclasses.replace(config, fault_model="stuck-at-1"),
-                str(tmp_path))
+        standalone = campaign_cell(
+            "libquantumm", "LLFI", "arithmetic",
+            dataclasses.replace(config, fault_model="stuck-at-1"),
+            str(tmp_path))
         # Cache entries hold the record-free ``to_json`` form; the reload
         # must match the live cell in every serialized field.
         assert standalone.to_json() == \

@@ -9,7 +9,7 @@ import pytest
 from repro.errors import FaultInjectionError
 from repro.fi import CampaignConfig
 from repro.fi.campaign import SlotResult, merge_slot_shards
-from repro.fi.engine import run_parallel_campaign
+from repro.fi.engine import run_parallel_campaign, shutdown_pool
 from repro.service import CampaignRequest
 from repro.service.runtime import (
     merge_shard_payloads, run_request_sharded, run_shard,
@@ -57,6 +57,40 @@ class TestShardIdentity:
         slots, candidates, golden = merge_shard_payloads([payload])
         assert [s.index for s in slots] == [0, 1, 2, 3]
         assert candidates > 0 and golden > 0
+
+
+class TestExecutorMatrix:
+    """Every round executor — in-process groups (jobs=1), pool chunks
+    (jobs=2) and in-process shards — batched or not, early-stopped or
+    not, equals the scalar reference: jobs=1, no checkpoints, no
+    batching, no compilation, one shard."""
+
+    @pytest.fixture(scope="class", autouse=True)
+    def _pool_teardown(self):
+        yield
+        shutdown_pool()
+
+    # 0.3 stops after the second of three rounds.
+    @pytest.mark.parametrize("ci_margin", [0.0, 0.3])
+    @pytest.mark.parametrize("batch", [0, 4])
+    @pytest.mark.parametrize("executor", ["jobs1", "jobs2", "shards2"])
+    def test_executor_matches_scalar_reference(self, executor, batch,
+                                               ci_margin, built_workloads):
+        req = CampaignRequest(workload=WORKLOAD, tool="LLFI",
+                              category="arithmetic", trials=12, seed=SEED,
+                              ci_margin=ci_margin, round_size=4)
+        reference = run_parallel_campaign(
+            req.injector_spec(), req.category,
+            req.to_config(like=CampaignConfig(no_compile=True)), jobs=1)
+        accel = CampaignConfig(checkpoint_stride=-1, batch=batch)
+        if executor == "shards2":
+            result = run_request_sharded(req, 2, config=accel)
+        else:
+            result = run_parallel_campaign(
+                req.injector_spec(), req.category,
+                req.to_config(like=accel), jobs=int(executor[-1]))
+        assert result.to_json(include_records=True) == \
+            reference.to_json(include_records=True)
 
 
 class TestMergeValidation:
