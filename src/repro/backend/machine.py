@@ -454,6 +454,10 @@ class MProgram:
 
     functions: Dict[str, MFunction] = field(default_factory=dict)
     ir_module: Optional[object] = None
+    #: Compiled-block cache (``repro.vm.blockcache.cache_for``); owned
+    #: here so it is collected with the program.
+    block_cache: Optional[object] = field(default=None, repr=False,
+                                          compare=False)
 
     def add_function(self, func: MFunction) -> MFunction:
         self.functions[func.name] = func

@@ -167,6 +167,9 @@ class Module:
         self.functions: Dict[str, Function] = {}
         self.globals: Dict[str, GlobalVariable] = {}
         self.structs: Dict[str, ty.StructType] = {}
+        #: Compiled-block cache (``repro.vm.blockcache.cache_for``); owned
+        #: here so it is collected with the module.
+        self.block_cache = None
 
     def add_function(self, name: str, function_type: ty.FunctionType,
                      param_names: Optional[Sequence[str]] = None) -> Function:

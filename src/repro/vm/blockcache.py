@@ -13,11 +13,14 @@ load+binop — are fused into superinstructions.
 
 Compilations are cached per *program object* (``cache_for``) so the
 golden run, the batch sweep machine, and every forked lane in every
-worker share one compilation: the cache key is ``id(program)`` with a
-weakref anchor for eviction, and the per-block key is
-``(id(instruction_list), start_index)`` — instruction lists are shared
-across engine instances over the same program, and COW-forked workers
-inherit the parent's populated cache for free.
+worker share one compilation.  The cache lives on the program itself
+(``Module.block_cache`` / ``MProgram.block_cache``), so program, cache
+and compiled closures form ordinary garbage that is collected together
+once the program is dropped; there is no process-wide registry.  The
+per-block key is ``(id(instruction_list), start_index)`` — instruction
+lists are owned by the program and shared across engine instances over
+it, and COW-forked workers inherit the parent's populated cache for
+free.
 
 Semantics are bit-identical to the scalar loop by construction:
 
@@ -55,7 +58,6 @@ from __future__ import annotations
 
 import operator
 import time
-import weakref
 from typing import Dict, Optional
 
 from repro.backend.machine import (
@@ -89,7 +91,7 @@ class BlockCache:
     """
 
     __slots__ = ("ir", "asm", "blocks_compiled", "superinstructions",
-                 "compile_wall_s", "_anchor")
+                 "compile_wall_s")
 
     def __init__(self) -> None:
         self.ir: Dict[tuple, object] = {}
@@ -97,7 +99,6 @@ class BlockCache:
         self.blocks_compiled = 0
         self.superinstructions = 0
         self.compile_wall_s = 0.0
-        self._anchor = None
 
     def stats(self) -> dict:
         return {
@@ -107,35 +108,18 @@ class BlockCache:
         }
 
 
-_caches: Dict[int, BlockCache] = {}
-
-
 def cache_for(program) -> BlockCache:
     """The shared compilation cache for ``program`` (an IR ``Module`` or
     an ``MProgram``), created on first request."""
-    key = id(program)
-    cache = _caches.get(key)
-    if cache is not None:
-        return cache
-    cache = BlockCache()
-    _caches[key] = cache
-
-    def _evict(_ref, key=key):
-        _caches.pop(key, None)
-
-    try:
-        cache._anchor = weakref.ref(program, _evict)
-    except TypeError:
-        # Not weakref-able: the cache simply lives for the process (the
-        # id-keyed entry may then alias a future object, but programs in
-        # this codebase are immortal per-process in practice).
-        cache._anchor = None
+    cache = program.block_cache
+    if cache is None:
+        cache = program.block_cache = BlockCache()
     return cache
 
 
 def peek_cache(program) -> Optional[BlockCache]:
     """The cache for ``program`` if one exists, else None (for stats)."""
-    return _caches.get(id(program))
+    return program.block_cache
 
 
 def invalidate_cache(program) -> None:
@@ -147,7 +131,7 @@ def invalidate_cache(program) -> None:
     ``prepare_for_backend``) calls this after mutating; anything else
     that rewrites instructions in place must do the same.
     """
-    cache = _caches.get(id(program))
+    cache = program.block_cache
     if cache is not None:
         cache.ir.clear()
         cache.asm.clear()

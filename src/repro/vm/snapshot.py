@@ -22,7 +22,10 @@ inherit both the objects and the checkpoints).
 Memory is stored as the non-zero span of each region rather than a full
 copy: the 4 MiB heap and 1 MiB stack are almost entirely zero at any
 checkpoint, and a restore is then a memset plus a small memcpy instead of
-a multi-megabyte copy per trial.
+a multi-megabyte copy per trial.  Capture finds the span by comparing
+16 KiB chunks of each region against a shared zero buffer (one memcmp
+each) and copies only the span; restores and decodes zero-fill from
+views of that same buffer instead of allocating fresh zero strings.
 
 Restores are further amortized across trials sharing a checkpoint: the
 :class:`CheckpointStore` *decodes* each snapshot's span-trimmed images
@@ -59,19 +62,60 @@ class RegionImage:
     payload: bytes
 
 
+#: Granularity of :func:`capture_memory`'s zero-span scan.
+SCAN_CHUNK = 16 * 1024
+
+#: Shared all-zero source for the scan and for zero-filling restores and
+#: decodes, sized to the largest mapped region (the 4 MiB heap).  A large
+#: calloc'd buffer maps the kernel's zero page, so it adds no resident
+#: memory.
+ZERO_BUFFER_BYTES = 4 * 1024 * 1024
+_ZEROS = memoryview(bytes(ZERO_BUFFER_BYTES))
+
+
+def _zeros(n: int):
+    """``n`` zero bytes without allocating: a view of the shared buffer,
+    or a fresh ``bytes(n)`` for a region larger than it."""
+    return _ZEROS[:n] if n <= ZERO_BUFFER_BYTES else bytes(n)
+
+
+def _nonzero_span(data: bytearray) -> Tuple[int, int]:
+    """``(start, end)`` of the non-zero bytes of ``data``; ``(0, 0)`` when
+    it is all zero.
+
+    Chunk-aligned slices are compared against the zero buffer (a
+    memcmp each), from the end for ``end`` and from the start for
+    ``start``; only the one boundary chunk on each side is stripped
+    byte by byte.
+    """
+    hi = len(data)
+    while hi > 0:
+        lo = (hi - 1) // SCAN_CHUNK * SCAN_CHUNK
+        chunk = data[lo:hi]
+        if chunk != _zeros(hi - lo):
+            end = lo + len(chunk.rstrip(b"\x00"))
+            break
+        hi = lo
+    else:
+        return 0, 0
+    lo = 0
+    while True:
+        chunk = data[lo:lo + SCAN_CHUNK]
+        if chunk != _zeros(len(chunk)):
+            return lo + len(chunk) - len(chunk.lstrip(b"\x00")), end
+        lo += SCAN_CHUNK
+
+
 def capture_memory(memory) -> Tuple[RegionImage, ...]:
-    """Freeze every mapped region of a :class:`repro.vm.memory.Memory`."""
+    """Freeze every mapped region of a :class:`repro.vm.memory.Memory`,
+    copying only each region's non-zero span."""
     images = []
     for region in memory.regions():
-        data = bytes(region.data)
-        end = len(data.rstrip(b"\x00"))
-        if end == 0:
-            images.append(RegionImage(region.name, region.base, region.size,
-                                      0, b""))
-            continue
-        start = len(data) - len(data.lstrip(b"\x00"))
+        start, end = _nonzero_span(region.data)
+        with memoryview(region.data) as view:
+            payload = bytes(view[start:end])
         images.append(RegionImage(region.name, region.base, region.size,
-                                  start, data[start:end]))
+                                  start, payload))
     return tuple(images)
 
 
@@ -97,17 +141,17 @@ def restore_memory(memory, images: Sequence[RegionImage]) -> None:
         data = region.data
         end = image.start + len(image.payload)
         if image.start:
-            data[:image.start] = bytes(image.start)
+            data[:image.start] = _zeros(image.start)
         if image.payload:
             data[image.start:end] = image.payload
         if end < region.size:
-            data[end:] = bytes(region.size - end)
+            data[end:] = _zeros(region.size - end)
 
 
 def expand_image(image: RegionImage) -> bytes:
     """Decode one span-trimmed region image into its full-size bytes."""
     tail = image.size - image.start - len(image.payload)
-    return b"".join((bytes(image.start), image.payload, bytes(tail)))
+    return b"".join((_zeros(image.start), image.payload, _zeros(tail)))
 
 
 def restore_memory_decoded(memory, images: Sequence[RegionImage],

@@ -12,8 +12,10 @@ containing an armed hook's candidate runs scalar even when its
 compare+branch pair was fused).
 """
 
+import gc
 import glob
 import os
+import weakref
 
 import pytest
 
@@ -115,6 +117,20 @@ class TestEngineBitIdentity:
         IRInterpreter(module).run()
         assert cache_for(module) is cache
         assert cache.blocks_compiled == before
+
+    def test_caches_die_with_their_program(self):
+        """A compiled program, its caches and their closures are ordinary
+        garbage: nothing process-wide keeps them alive."""
+        module = compile_source(SRC)
+        program = compile_module(module)
+        ir_engine, asm_engine = IRInterpreter(module), AsmSimulator(program)
+        ir_engine.run()
+        asm_engine.run()
+        assert peek_cache(module).ir and peek_cache(program).asm
+        refs = (weakref.ref(module), weakref.ref(program))
+        del module, program, ir_engine, asm_engine
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
 
 class TestFallbackRules:
