@@ -23,7 +23,7 @@ needs (phis are exempt: their destinations are pre-created).
 
 from __future__ import annotations
 
-from repro.ir.analysis import reachable_blocks
+from repro.ir.analysis import predecessor_map, reachable_blocks
 from repro.ir.instructions import Branch
 from repro.ir.module import Function, Module
 from repro.ir.verifier import verify_module
@@ -38,6 +38,7 @@ def split_critical_edges(module: Module) -> int:
 
 def _split_function(func: Function) -> int:
     count = 0
+    preds = predecessor_map(func)
     # Snapshot: we add blocks while iterating.
     for block in list(func.blocks):
         if not block.is_terminated():
@@ -45,12 +46,16 @@ def _split_function(func: Function) -> int:
         term = block.terminator
         if not isinstance(term, Branch) or not term.is_conditional:
             continue
-        for succ in list(term.successors()):
-            if len(succ.predecessors()) < 2 or not succ.phis():
+        for succ in dict.fromkeys(term.successors()):
+            succ_preds = preds[id(succ)]
+            if len(succ_preds) < 2 or not succ.phis():
                 continue
             mid = func.add_block(f"{block.name}.{succ.name}.split")
             mid.append(Branch(succ))
             term.replace_target(succ, mid)
+            # `block` now reaches `succ` only through `mid`.
+            succ_preds[succ_preds.index(block)] = mid
+            preds[id(mid)] = [block]
             for phi in succ.phis():
                 # Retarget the incoming edge. A conditional branch may have
                 # had both targets equal; replace only one matching edge.
@@ -65,8 +70,9 @@ def _split_function(func: Function) -> int:
 def remove_single_pred_phis(module: Module) -> int:
     count = 0
     for func in module.defined_functions():
+        preds_of = predecessor_map(func)
         for block in func.blocks:
-            preds = block.predecessors()
+            preds = preds_of[id(block)]
             if len(preds) != 1:
                 continue
             for phi in list(block.phis()):

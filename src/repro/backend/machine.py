@@ -458,6 +458,10 @@ class MProgram:
     #: here so it is collected with the program.
     block_cache: Optional[object] = field(default=None, repr=False,
                                           compare=False)
+    #: Simulator tables (``repro.vm.asmsim.program_tables``); owned here
+    #: for the same reason.
+    sim_tables: Optional[object] = field(default=None, repr=False,
+                                         compare=False)
 
     def add_function(self, func: MFunction) -> MFunction:
         self.functions[func.name] = func

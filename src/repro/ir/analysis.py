@@ -1,8 +1,13 @@
-"""Control-flow analyses: reachability, dominator tree, dominance frontiers.
+"""Control-flow analyses: predecessors, reachability, dominator tree,
+dominance frontiers.
 
 The dominator tree uses the Cooper–Harvey–Kennedy "simple, fast dominance"
 algorithm; frontiers use their frontier construction. mem2reg consumes both
 to place pruned-SSA phi nodes.
+
+Predecessors come from one sweep over the function (:func:`predecessor_map`)
+that each analysis or pass builds once and consults per block; a block
+itself never rescans its function for predecessors.
 """
 
 from __future__ import annotations
@@ -10,6 +15,25 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.ir.module import BasicBlock, Function
+
+
+def predecessor_map(func: Function) -> Dict[int, List[BasicBlock]]:
+    """Map from block id to that block's predecessors, for every block in
+    ``func.blocks``: one sweep over the terminators.
+
+    Predecessors are listed in block order, and a block that branches to
+    the same target twice is listed once.  Branches to blocks outside
+    ``func.blocks`` are ignored.
+    """
+    preds: Dict[int, List[BasicBlock]] = {id(b): [] for b in func.blocks}
+    for block in func.blocks:
+        for succ in block.successors():
+            entry = preds.get(id(succ))
+            # Blocks are swept in order, so a repeat edge from ``block``
+            # can only follow its own first entry.
+            if entry is not None and (not entry or entry[-1] is not block):
+                entry.append(block)
+    return preds
 
 
 def reachable_blocks(func: Function) -> List[BasicBlock]:
@@ -45,6 +69,12 @@ class DominatorTree:
         self.function = func
         self.rpo = reachable_blocks(func)
         self._rpo_index: Dict[int, int] = {id(b): i for i, b in enumerate(self.rpo)}
+        preds = predecessor_map(func)
+        #: Reachable predecessors of each reachable block.
+        self._preds: Dict[int, List[BasicBlock]] = {
+            id(b): [p for p in preds.get(id(b), ())
+                    if id(p) in self._rpo_index]
+            for b in self.rpo}
         self.idom: Dict[int, BasicBlock] = {}
         self._children: Dict[int, List[BasicBlock]] = {id(b): [] for b in self.rpo}
         self._compute()
@@ -59,8 +89,8 @@ class DominatorTree:
         while changed:
             changed = False
             for block in self.rpo[1:]:
-                preds = [p for p in block.predecessors()
-                         if id(p) in self._rpo_index and idom[id(p)] is not None]
+                preds = [p for p in self._preds[id(block)]
+                         if idom[id(p)] is not None]
                 if not preds:
                     continue
                 new_idom = preds[0]
@@ -107,7 +137,7 @@ class DominatorTree:
         """Map from block id to the set of block ids in its frontier."""
         frontiers: Dict[int, Set[int]] = {id(b): set() for b in self.rpo}
         for block in self.rpo:
-            preds = [p for p in block.predecessors() if id(p) in self._rpo_index]
+            preds = self._preds[id(block)]
             if len(preds) < 2:
                 continue
             for pred in preds:

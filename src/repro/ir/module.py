@@ -47,19 +47,13 @@ class BasicBlock:
         return self.instructions[-1]
 
     # -- CFG -----------------------------------------------------------------
+    # Predecessors are a whole-function query: see
+    # ``repro.ir.analysis.predecessor_map``.
     def successors(self) -> List["BasicBlock"]:
-        if not self.is_terminated():
-            return []
-        return self.terminator.successors()  # type: ignore[attr-defined]
-
-    def predecessors(self) -> List["BasicBlock"]:
-        if self.parent is None:
-            return []
-        preds = []
-        for block in self.parent.blocks:
-            if self in block.successors():
-                preds.append(block)
-        return preds
+        insts = self.instructions
+        if insts and insts[-1].is_terminator():
+            return insts[-1].successors()  # type: ignore[attr-defined]
+        return []
 
     def phis(self) -> List[Phi]:
         result = []

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.ir.analysis import reachable_blocks
+from repro.ir.analysis import predecessor_map, reachable_blocks
 from repro.ir.instructions import Branch, Phi
 from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.values import ConstantInt
@@ -72,10 +72,11 @@ def _remove_unreachable(func: Function) -> bool:
 
 def _merge_straightline(func: Function) -> bool:
     changed = False
+    preds_of = predecessor_map(func)
     for block in list(func.blocks):
         if block is func.entry:
             continue
-        preds = block.predecessors()
+        preds = preds_of[id(block)]
         if len(preds) != 1:
             continue
         pred = preds[0]
@@ -89,14 +90,19 @@ def _merge_straightline(func: Function) -> bool:
         # Splice instructions into the predecessor.
         pred_term = pred.terminator
         pred.remove(pred_term)
-        for inst in list(block.instructions):
-            block.instructions.remove(inst)
+        moved, block.instructions = block.instructions, []
+        for inst in moved:
             inst.parent = pred
-            pred.instructions.append(inst)
-        # Phi edges in successors must now name `pred`.
-        for succ in pred.successors():
+        pred.instructions.extend(moved)
+        # Phi edges and predecessor lists of the successors must now name
+        # `pred` (it was not one of their predecessors: its only successor
+        # was `block`, and `block` has no self-edge).
+        for succ in dict.fromkeys(pred.successors()):
             for phi in succ.phis():
                 phi._blocks = [pred if b is block else b for b in phi._blocks]
+            succ_preds = preds_of[id(succ)]
+            succ_preds[succ_preds.index(block)] = pred
+        del preds_of[id(block)]
         func.blocks.remove(block)
         block.parent = None
         changed = True

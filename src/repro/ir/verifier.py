@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import List, Set
 
 from repro.errors import VerificationError
-from repro.ir.analysis import DominatorTree, reachable_blocks
+from repro.ir.analysis import DominatorTree, predecessor_map
 from repro.ir.instructions import Branch, Call, Instruction, Phi, Ret
 from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.values import Argument, Constant, GlobalVariable, Value
@@ -51,6 +51,7 @@ def _verify_function(func: Function) -> List[str]:
         if not block.is_terminated():
             errors.append(f"{where}: block {block.name} lacks a terminator")
             continue
+        first_non_phi = block.first_non_phi_index()
         for i, inst in enumerate(block.instructions):
             if inst.parent is not block:
                 errors.append(
@@ -58,8 +59,7 @@ def _verify_function(func: Function) -> List[str]:
             if inst.is_terminator() and i != len(block.instructions) - 1:
                 errors.append(
                     f"{where}: terminator {inst.opcode} mid-block in {block.name}")
-            if isinstance(inst, Phi) and i >= block.first_non_phi_index() \
-                    and not isinstance(block.instructions[i], Phi):
+            if isinstance(inst, Phi) and i > first_non_phi:
                 errors.append(f"{where}: phi after non-phi in {block.name}")
         term = block.terminator
         if isinstance(term, Branch):
@@ -79,8 +79,9 @@ def _verify_function(func: Function) -> List[str]:
                     f"{where}: ret type {term.value.type} != {func.return_type}")
 
     # Phi edge consistency.
+    pred_map = predecessor_map(func)
     for block in func.blocks:
-        preds = [p for p in block.predecessors() if id(p) in block_set]
+        preds = pred_map[id(block)]
         pred_ids = {id(p) for p in preds}
         for phi in block.phis():
             seen: Set[int] = set()
@@ -105,8 +106,8 @@ def _verify_function(func: Function) -> List[str]:
 
     # SSA dominance: every use of an instruction result must be dominated
     # by its definition.
-    reachable = {id(b) for b in reachable_blocks(func)}
     dt = DominatorTree(func)
+    reachable = {id(b) for b in dt.rpo}
     positions = {}
     for block in func.blocks:
         for i, inst in enumerate(block.instructions):

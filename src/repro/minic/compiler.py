@@ -22,8 +22,9 @@ def compile_source(source: str, module_name: str = "minic",
     program = parse(source)
     info = analyze(program)
     module = CodeGenerator(program, info, module_name).run()
-    if verify:
-        verify_module(module)
     if optimize:
+        # Verifies the fresh module first, then every pass's output.
         run_default_pipeline(module, verify_each=verify)
+    elif verify:
+        verify_module(module)
     return module

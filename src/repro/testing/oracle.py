@@ -164,7 +164,8 @@ class Oracle:
                 "mem2reg": promote_memory_to_registers,
                 "constfold": fold_constants, "dce": eliminate_dead_code,
                 "simplifycfg2": simplify_cfg, "dce2": eliminate_dead_code}
-        module = compile_source(self.source, optimize=False)
+        # The pass manager verifies the fresh module before its first pass.
+        module = compile_source(self.source, optimize=False, verify=False)
         pm = PassManager()
         for name in _PIPELINE[:upto]:
             pm.add(name, impl[name])

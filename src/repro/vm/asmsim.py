@@ -93,6 +93,34 @@ class _FuncRec:
         self.block_index = {id(b): i for i, b in enumerate(mfunc.blocks)}
 
 
+class ProgramTables:
+    """The simulator's static tables for one program: function records,
+    the intrinsic map and per-instruction poison metadata (filled in for
+    an instruction the first time it executes with poison live).
+
+    Built once per program by :func:`program_tables` and kept on it
+    (``MProgram.sim_tables``), so every simulator of the program shares
+    them and they are collected with it."""
+
+    def __init__(self, program: MProgram) -> None:
+        self.funcs: Dict[str, _FuncRec] = {
+            name: _FuncRec(mf) for name, mf in program.functions.items()}
+        self.intrinsics: Dict[str, str] = {
+            name: f.name for name, f in program.ir_module.functions.items()
+            if f.is_intrinsic}
+        self.meta: Dict[int, Tuple[Tuple, Tuple]] = {}
+
+
+def program_tables(program: MProgram) -> ProgramTables:
+    """The simulator tables for ``program``, built on first request (a
+    machine program is not rewritten once ``compile_module`` returns
+    it)."""
+    tables = program.sim_tables
+    if tables is None:
+        tables = program.sim_tables = ProgramTables(program)
+    return tables
+
+
 class AsmSimulator:
     #: opcode -> handler method name; resolved to bound methods per
     #: instance so the hot loop is one dict lookup plus one call.
@@ -173,32 +201,22 @@ class AsmSimulator:
         #: Set by restore(): where run() continues instead of ``main``.
         self._resume_loc: Optional[_Loc] = None
 
+        tables = program_tables(program)
+        self.funcs: Dict[str, _FuncRec] = tables.funcs
+        self.intrinsics = tables.intrinsics
+        #: Static per-instruction metadata (uses/defs as poison targets).
+        self._meta: Dict[int, Tuple[Tuple, Tuple]] = tables.meta
         if template is not None:
-            # Share the immutable per-program structures (function records,
-            # poison metadata, intrinsic map, global addresses) and take the
-            # caller's memory — this is how batched lanes fork cheaply from
-            # one decoded image (see repro.vm.batch).
+            # Share the template's global addresses and take the caller's
+            # memory — this is how batched lanes fork cheaply from one
+            # decoded image (see repro.vm.batch).
             self.memory = memory
             self.global_addr: Dict[str, int] = template.global_addr
-            self.funcs: Dict[str, _FuncRec] = template.funcs
-            self.intrinsics = template.intrinsics
-            self._meta: Dict[int, Tuple[Tuple, Tuple]] = template._meta
         else:
             self.memory, addr_by_id = build_global_image(program.ir_module)
             self.global_addr = {
                 g.name: addr_by_id[id(g)]
                 for g in program.ir_module.globals.values()}
-            self.funcs = {
-                name: _FuncRec(mf) for name, mf in program.functions.items()}
-            self.intrinsics = {name: f.name for name, f in
-                               program.ir_module.functions.items()
-                               if f.is_intrinsic}
-            #: Static per-instruction metadata (uses/defs as poison targets).
-            self._meta = {}
-            for rec in self.funcs.values():
-                for insts in rec.blocks:
-                    for inst in insts:
-                        self._meta[id(inst)] = _poison_meta(inst)
         self.heap = BumpAllocator()
 
         self.regs: Dict[str, int] = {}
@@ -463,7 +481,10 @@ class AsmSimulator:
 
     # -- poison / activation -----------------------------------------------------
     def _check_poison(self, inst: MInst) -> None:
-        uses, defs = self._meta[id(inst)]
+        meta = self._meta.get(id(inst))
+        if meta is None:
+            meta = self._meta[id(inst)] = _poison_meta(inst)
+        uses, defs = meta
         poison = self.poison
         for target in uses:
             if target in poison:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import VerificationError
 from repro.ir import types as ty
+from repro.ir.analysis import predecessor_map
 from repro.ir.builder import IRBuilder
 from repro.ir.instructions import BinaryOp, Branch, Phi, Ret
 from repro.ir.module import Module
@@ -90,6 +91,64 @@ class TestPhiChecks:
         phi.add_incoming(b.const_int(2), other)  # not a predecessor
         b.ret(phi)
         with pytest.raises(VerificationError, match="non-predecessor"):
+            verify_function(f)
+
+
+    def test_phi_after_non_phi(self):
+        m, f = make_function()
+        entry = f.add_block("entry")
+        join = f.add_block("join")
+        b = IRBuilder(entry)
+        b.br(join)
+        b.set_insert_point(join)
+        x = b.add(f.args[0], b.const_int(1))
+        b.ret(x)
+        late = Phi(ty.I32, "late")
+        late.add_incoming(b.const_int(0), entry)
+        join.insert(1, late)  # after the add: not in the phi prefix
+        with pytest.raises(VerificationError, match="phi after non-phi"):
+            verify_function(f)
+
+
+def same_target_branch():
+    """entry: cond_br c, join, join -- both edges land on one block."""
+    m, f = make_function()
+    entry = f.add_block("entry")
+    join = f.add_block("join")
+    b = IRBuilder(entry)
+    cond = b.icmp("slt", f.args[0], b.const_int(0))
+    b.cond_br(cond, join, join)
+    b.set_insert_point(join)
+    phi = b.phi(ty.I32)
+    phi.add_incoming(b.const_int(1), entry)
+    b.ret(phi)
+    return f, entry, join, phi
+
+
+class TestPredecessorSemantics:
+    """The verifier's view of predecessors: one entry per predecessor
+    block, however many edges it has, and only blocks of the function."""
+
+    def test_same_target_branch_is_one_predecessor(self):
+        f, entry, join, _ = same_target_branch()
+        preds = predecessor_map(f)
+        assert preds[id(join)] == [entry]
+        verify_function(f)  # one incoming entry is exactly right
+
+    def test_two_entries_from_one_block_is_duplicate_edge(self):
+        f, entry, _, phi = same_target_branch()
+        phi.add_incoming(ConstantInt(ty.I32, 2), entry)
+        with pytest.raises(VerificationError, match="duplicate edge"):
+            verify_function(f)
+
+    def test_branch_to_other_function_is_foreign_block(self):
+        m, f = make_function()
+        g = m.add_function("g", ty.FunctionType(ty.I32, [ty.I32]))
+        g_entry = g.add_block("g_entry")
+        IRBuilder(g_entry).ret(g.args[0])
+        b = IRBuilder(f.add_block("entry"))
+        b.br(g_entry)
+        with pytest.raises(VerificationError, match="foreign block g_entry"):
             verify_function(f)
 
 

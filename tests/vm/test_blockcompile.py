@@ -27,7 +27,7 @@ from repro.fi import (
 from repro.fi.categories import CATEGORIES
 from repro.minic import compile_source
 from repro.obs.manifest import read_manifest
-from repro.vm.asmsim import AsmSimulator
+from repro.vm.asmsim import AsmSimulator, program_tables
 from repro.vm.blockcache import cache_for, peek_cache
 from repro.vm.irinterp import IRInterpreter
 from repro.vm.snapshot import CheckpointStore
@@ -131,6 +131,29 @@ class TestEngineBitIdentity:
         del module, program, ir_engine, asm_engine
         gc.collect()
         assert [ref() for ref in refs] == [None, None]
+
+    def test_simulators_share_their_program_tables(self, built):
+        """Function records, intrinsic map and poison metadata are built
+        once per program: every simulator of it, batched lanes forked
+        from a template included, holds the same objects."""
+        _, program = built
+        first, second = AsmSimulator(program), AsmSimulator(program)
+        lane = AsmSimulator(program, template=first, memory=first.memory)
+        tables = program_tables(program)
+        for sim in (first, second, lane):
+            assert sim.funcs is tables.funcs
+            assert sim._meta is tables.meta
+            assert sim.intrinsics is tables.intrinsics
+        assert first.run() == second.run()
+
+    def test_program_tables_die_with_their_program(self):
+        module = compile_source(SRC)
+        program = compile_module(module)
+        AsmSimulator(program).run()
+        ref = weakref.ref(program_tables(program))
+        del module, program
+        gc.collect()
+        assert ref() is None
 
 
 class TestFallbackRules:
