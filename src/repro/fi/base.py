@@ -7,19 +7,25 @@ profile, inject) and share everything that is not engine-specific:
 * the memoised **golden run** (``golden_cached``) and **per-category
   profiling pass** (``dynamic_counts``), so a grid of campaigns performs
   one of each per injector instead of one per (tool, category) cell;
+* **candidate counting** (:meth:`_counted_run`): one
+  :class:`~repro.vm.counter.CandidateCounter` over the per-category
+  candidate sets, which the engine advances per compiled block (a
+  memoised count vector) or per scalar instruction (one lookup) — no
+  hook call per candidate;
 * the **checkpoint policy** (``configure_checkpoints`` /
   ``ensure_checkpoints``): the recording run doubles as golden + profiling
   pass and its :class:`~repro.vm.snapshot.CheckpointStore` lets every
-  injection run skip its fault-free prefix;
+  injection run skip its fault-free prefix.  It runs compiled wherever a
+  segment retires before the next checkpoint boundary, and it is checked
+  against the memoised golden run when there is one;
 * **run accounting** (``executions``, ``instructions_simulated``,
   ``ckpt_restores``, ``ckpt_instructions_skipped``), mirrored into the
   active :mod:`repro.obs` recorder.
 
-Subclasses provide the engine plumbing: :meth:`_execute` (one run of the
-underlying simulator), :meth:`_counted_run` (one run with the
-multi-category counting hook, optionally recording checkpoints) and
-:meth:`run_with_fault` (one injection run).  Campaign, engine and
-experiment code type against this ABC only.
+Subclasses provide the engine plumbing: :meth:`_engine` (an engine over
+the injector's program), the per-category candidate id-sets
+(``_candidate_ids``) and :meth:`run_with_fault` (one injection run).
+Campaign, engine and experiment code type against this ABC only.
 """
 
 from __future__ import annotations
@@ -28,12 +34,14 @@ import random
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from repro.errors import FaultInjectionError
+from repro.fi.categories import CATEGORIES
 from repro.fi.fault import FaultModel, FaultRecord
 from repro.obs import get_recorder
 from repro.vm.batch import BatchStats
+from repro.vm.counter import CandidateCounter
 from repro.vm.result import ExecutionResult
 from repro.vm.snapshot import CheckpointStore
 
@@ -106,6 +114,8 @@ class BaseInjector(ABC):
         self.fallback_blocks = 0
         #: Workload registry name, when built from an ``InjectorSpec``.
         self.workload_name: Optional[str] = None
+        #: category -> id()s of its static injection candidates.
+        self._candidate_ids: Dict[str, Set[int]] = {}
         self._checkpoints: Optional[CheckpointStore] = None
         self._checkpoints_request = 0
         self._golden_result: Optional[ExecutionResult] = None
@@ -118,21 +128,15 @@ class BaseInjector(ABC):
 
     # -- engine plumbing (subclass responsibility) ---------------------------
     @abstractmethod
-    def _execute(self, hook, max_instructions: int,
-                 hook_filter=None) -> ExecutionResult:
-        """One run of the underlying engine with ``hook`` installed."""
+    def _engine(self, hook, max_instructions: int, hook_filter=None,
+                **kwargs):
+        """A fresh engine over the injector's program (``kwargs`` go to
+        the engine constructor; compilation follows
+        :attr:`compile_enabled`)."""
 
-    @abstractmethod
-    def _counted_run(self, max_instructions: int,
-                     store: Optional[CheckpointStore] = None,
-                     ) -> Tuple[ExecutionResult, Dict[str, int]]:
-        """One run with the multi-category counting hook; when ``store``
-        is given, record checkpoints (annotated with the live counts)
-        into it at its stride."""
-
-    @abstractmethod
     def static_candidate_count(self, category: str) -> int:
         """Number of static injection candidates for a category."""
+        return len(self._candidate_ids[category])
 
     @abstractmethod
     def run_with_fault(self, category: str, k: int, rng: random.Random,
@@ -146,6 +150,34 @@ class BaseInjector(ABC):
         one instance serves every trial slot — and their RNG consumption
         per firing must depend only on (model, target width), never on
         the value being corrupted, or jobs=1 ≡ jobs=N breaks."""
+
+    def _run(self, engine) -> ExecutionResult:
+        """Run ``engine`` to completion and fold its block counters in."""
+        result = engine.run()
+        self._absorb_compile(engine)
+        return result
+
+    def _counted_run(self, max_instructions: int,
+                     categories: Sequence[str] = CATEGORIES,
+                     store: Optional[CheckpointStore] = None,
+                     ) -> Tuple[ExecutionResult, Dict[str, int]]:
+        """One run counting the dynamic candidates of ``categories``;
+        when ``store`` is given, record checkpoints (annotated with the
+        live counts) into it at its stride."""
+        counter = CandidateCounter([self._candidate_ids[c]
+                                    for c in categories])
+
+        def counts() -> Dict[str, int]:
+            return dict(zip(categories, counter.totals))
+
+        kwargs = {}
+        if store is not None:
+            kwargs = dict(
+                checkpoint_stride=store.stride,
+                checkpoint_sink=lambda snap: store.record(snap, counts()))
+        result = self._run(self._engine(None, max_instructions,
+                                        counter=counter, **kwargs))
+        return result, counts()
 
     # -- compiled execution --------------------------------------------------
     def _compile_subject(self):
@@ -270,8 +302,8 @@ class BaseInjector(ABC):
     def golden(self, max_instructions: Optional[int] = None
                ) -> ExecutionResult:
         """Fault-free reference run."""
-        result = self._execute(
-            None, max_instructions or self.default_max_instructions)
+        result = self._run(self._engine(
+            None, max_instructions or self.default_max_instructions))
         self._account_run(result)
         return result
 
@@ -305,8 +337,19 @@ class BaseInjector(ABC):
                              ) -> Dict[str, int]:
         """Dynamic candidate counts for every category in one run
         (each tool's side of the paper's Table IV)."""
+        return self._profile(CATEGORIES, max_instructions)
+
+    def count_dynamic_candidates(self, category: str,
+                                 max_instructions: Optional[int] = None
+                                 ) -> int:
+        """Profiling run: N, the dynamic candidate-instance count of one
+        category."""
+        return self._profile((category,), max_instructions)[category]
+
+    def _profile(self, categories: Sequence[str],
+                 max_instructions: Optional[int]) -> Dict[str, int]:
         result, counts = self._counted_run(
-            max_instructions or self.default_max_instructions)
+            max_instructions or self.default_max_instructions, categories)
         self._account_run(result)
         if not result.completed:
             raise FaultInjectionError(
@@ -324,10 +367,13 @@ class BaseInjector(ABC):
                            ) -> Optional[CheckpointStore]:
         """Record golden-run checkpoints (memoised per requested policy).
 
-        The recording run executes the whole program once with the shared
-        multi-category counting hook, so it doubles as the golden run and
-        the profiling pass: with an explicit stride a fresh injector makes
-        one preparation run instead of two.
+        The recording run executes the whole program once while counting
+        every category, so it doubles as the golden run and the profiling
+        pass: with an explicit stride a fresh injector makes one
+        preparation run instead of two.  When a golden run is already
+        memoised (stride -1 needs one to size the stride) the recording
+        must reproduce it exactly, or :class:`FaultInjectionError` is
+        raised.
         """
         request = self.checkpoint_request
         if request == 0:
@@ -339,13 +385,20 @@ class BaseInjector(ABC):
             max(1, self.golden_cached().instructions // 20)
         store = CheckpointStore(stride)
         result, counts = self._counted_run(
-            max_instructions or self.default_max_instructions, store)
+            max_instructions or self.default_max_instructions, store=store)
         self._account_run(result)
         if not result.completed:
             raise FaultInjectionError(
                 f"checkpoint recording run did not complete: {result.status}")
-        if self._golden_result is None:
+        golden = self._golden_result
+        if golden is None:
             self._golden_result = result
+        else:
+            diverged = _divergence(golden, result)
+            if diverged:
+                raise FaultInjectionError(
+                    f"checkpoint recording run diverged from the golden "
+                    f"run: {diverged}")
         if self._dynamic_counts is None:
             self._dynamic_counts = counts
         self._checkpoints = store
@@ -372,3 +425,18 @@ class BaseInjector(ABC):
                        memory_images=store.decoded_memory(checkpoint))
         hook.count = checkpoint.counts[category]
         return checkpoint.snapshot.executed
+
+
+def _divergence(golden: ExecutionResult, run: ExecutionResult) -> str:
+    """How ``run`` differs from ``golden`` in what a fault-free run must
+    reproduce (status, output, exit value, instruction count); empty
+    when it does not."""
+    diffs = [f"{name} {a!r} != {b!r}" for name, a, b in (
+        ("status", golden.status, run.status),
+        ("exit value", golden.exit_value, run.exit_value),
+        ("instructions", golden.instructions, run.instructions))
+        if a != b]
+    if golden.output != run.output:
+        diffs.append(f"output differs ({len(golden.output)} vs "
+                     f"{len(run.output)} chars)")
+    return "; ".join(diffs)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 from repro.errors import FaultInjectionError
 from repro.ir.instructions import Instruction, Load
@@ -36,7 +36,6 @@ from repro.fi.fault import FaultModel, FaultRecord, SingleBitFlip
 from repro.vm.batch import pristine_image_of, run_ir_batch
 from repro.vm.irinterp import InterpHook, IRInterpreter
 from repro.vm.result import ExecutionResult
-from repro.vm.snapshot import CheckpointStore
 
 
 @dataclass(frozen=True)
@@ -50,39 +49,6 @@ class LLFIOptions:
     def selector_kwargs(self) -> dict:
         return {"gep_as_arithmetic": self.gep_as_arithmetic,
                 "include_pointer_casts": self.include_pointer_casts}
-
-
-class _CountingHook(InterpHook):
-    """Profiling instrumentation: counts dynamic candidate instances."""
-
-    observer = True  # mutates only its own counter: any span is safe
-
-    def __init__(self, candidate_ids: Set[int]) -> None:
-        self.candidate_ids = candidate_ids
-        self.count = 0
-
-    def on_result(self, inst, value, interp):
-        if id(inst) in self.candidate_ids:
-            self.count += 1
-        return value
-
-
-class _MultiCountingHook(InterpHook):
-    """Fans one run out to several counting hooks (one per category); used
-    by the shared profiling pass and by checkpoint recording."""
-
-    observer = True
-
-    def __init__(self, hooks: Dict[str, _CountingHook]) -> None:
-        self.hooks = hooks
-
-    def on_result(self, inst, value, interp):
-        for h in self.hooks.values():
-            h.on_result(inst, value, interp)
-        return value
-
-    def counts(self) -> Dict[str, int]:
-        return {c: h.count for c, h in self.hooks.items()}
 
 
 class _InjectionHook(InterpHook):
@@ -211,71 +177,28 @@ class LLFIInjector(BaseInjector):
         super().__init__()
         self.module = module
         self.options = options or LLFIOptions()
-        self._candidate_ids: Dict[str, Set[int]] = {}
-        self._static_counts: Dict[str, int] = {}
         for category in CATEGORIES:
-            ids = set()
-            for func in module.defined_functions():
-                for inst in func.instructions():
-                    if llfi_is_candidate(inst, category,
-                                         **self.options.selector_kwargs()):
-                        ids.add(id(inst))
-            self._candidate_ids[category] = ids
-            self._static_counts[category] = len(ids)
+            self._candidate_ids[category] = {
+                id(inst)
+                for func in module.defined_functions()
+                for inst in func.instructions()
+                if llfi_is_candidate(inst, category,
+                                     **self.options.selector_kwargs())}
         #: Lazily built batch-execution template: a never-run interpreter
         #: whose global-address map and pristine memory image every sweep
         #: and lane reuses (see run_batch).
         self._template: Optional[IRInterpreter] = None
         self._pristine = None
 
-    def static_candidate_count(self, category: str) -> int:
-        return self._static_counts[category]
-
     def _compile_subject(self):
         return self.module
 
-    def _interp(self, hook, max_instructions: int, hook_filter=None,
+    def _engine(self, hook, max_instructions: int, hook_filter=None,
                 **kwargs) -> IRInterpreter:
         kwargs.setdefault("compile_blocks", self.compile_enabled)
         return IRInterpreter(self.module, max_instructions=max_instructions,
                              max_call_depth=self.options.max_call_depth,
                              hook=hook, hook_filter=hook_filter, **kwargs)
-
-    def _execute(self, hook, max_instructions: int,
-                 hook_filter=None) -> ExecutionResult:
-        interp = self._interp(hook, max_instructions, hook_filter)
-        result = interp.run()
-        self._absorb_compile(interp)
-        return result
-
-    def _counted_run(self, max_instructions: int,
-                     store: Optional[CheckpointStore] = None,
-                     ) -> Tuple[ExecutionResult, Dict[str, int]]:
-        hooks = {c: _CountingHook(self._candidate_ids[c]) for c in CATEGORIES}
-        multi = _MultiCountingHook(hooks)
-        union = frozenset().union(*self._candidate_ids.values())
-        kwargs = {}
-        if store is not None:
-            kwargs = dict(
-                checkpoint_stride=store.stride,
-                checkpoint_sink=lambda snap: store.record(snap,
-                                                          multi.counts()))
-        interp = self._interp(multi, max_instructions, union, **kwargs)
-        result = interp.run()
-        self._absorb_compile(interp)
-        return result, multi.counts()
-
-    def count_dynamic_candidates(self, category: str,
-                                 max_instructions: int = 50_000_000) -> int:
-        """Profiling run: N, the dynamic candidate-instance count."""
-        ids = frozenset(self._candidate_ids[category])
-        hook = _CountingHook(ids)
-        result = self._execute(hook, max_instructions, hook_filter=ids)
-        self._account_run(result)
-        if not result.completed:
-            raise FaultInjectionError(
-                f"profiling run did not complete: {result.status}")
-        return hook.count
 
     def run_with_fault(self, category: str, k: int, rng: random.Random,
                        model: Optional[FaultModel] = None,
@@ -292,13 +215,12 @@ class LLFIInjector(BaseInjector):
         checkpoint's candidate count)."""
         ids = frozenset(self._candidate_ids[category])
         hook = _InjectionHook(ids, k, model or SingleBitFlip(), rng)
-        interp = self._interp(hook,
+        interp = self._engine(hook,
                               max_instructions or
                               self.default_max_instructions,
                               hook_filter=ids)
         skipped = self._resume_from_checkpoint(interp, hook, category, k)
-        result = interp.run()
-        self._absorb_compile(interp)
+        result = self._run(interp)
         self._account_run(result, skipped)
         if hook.record is None:
             raise FaultInjectionError(
@@ -311,7 +233,7 @@ class LLFIInjector(BaseInjector):
         """Never-run interpreter providing the shared global-address map
         and the pristine cold-start memory image."""
         if self._template is None:
-            interp = self._interp(None, self.default_max_instructions)
+            interp = self._engine(None, self.default_max_instructions)
             self._template = interp
             self._pristine = pristine_image_of(interp)
         return self._template

@@ -92,6 +92,11 @@ def _promote_function(func: Function) -> int:
                 worklist.append(fid)
 
     # ---- renaming -----------------------------------------------------------
+    owner_of: Dict[int, int] = {}  # id(phi) -> alloca id
+    phis_by_block: Dict[int, List[Tuple[int, Phi]]] = {}
+    for (aid, bid), phi in phi_for.items():
+        owner_of[id(phi)] = aid
+        phis_by_block.setdefault(bid, []).append((aid, phi))
     alloca_ids = {id(a): a for a in allocas}
     stacks: Dict[int, List[Value]] = {id(a): [] for a in allocas}
     to_delete: List[Instruction] = []
@@ -117,8 +122,7 @@ def _promote_function(func: Function) -> int:
         pushed_here: List[int] = []
         for inst in list(block.instructions):
             if isinstance(inst, Phi):
-                owner = next((aid for (aid, bid), p in phi_for.items()
-                              if p is inst and bid == id(block)), None)
+                owner = owner_of.get(id(inst))
                 if owner is not None:
                     stacks[owner].append(inst)
                     pushed_here.append(owner)
@@ -133,9 +137,7 @@ def _promote_function(func: Function) -> int:
                 to_delete.append(inst)
         # Fill phi operands in successors.
         for succ in block.successors():
-            for (aid, bid), phi in phi_for.items():
-                if bid != id(succ):
-                    continue
+            for aid, phi in phis_by_block.get(id(succ), ()):
                 phi.add_incoming(current(aid, alloca_ids[aid]), block)
         work.append(("exit", block, pushed_here))
         for child in dt.children(block):

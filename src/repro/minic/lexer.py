@@ -12,8 +12,9 @@ Supports:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 from repro.errors import LexError
 
@@ -51,54 +52,49 @@ _ESCAPES = {
 }
 
 
+#: Whitespace and complete comments, skipped in one match.  An
+#: unterminated ``/*`` is left in place for the error below.
+_SKIP = re.compile(r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*", re.DOTALL)
+#: Identifier continuation: ``\w`` is ``str.isalnum()`` or ``_``.
+_WORD = re.compile(r"\w*")
+_OPS3 = frozenset(op for op in OPERATORS if len(op) == 3)
+_OPS2 = frozenset(op for op in OPERATORS if len(op) == 2)
+_OPS1 = frozenset(op for op in OPERATORS if len(op) == 1)
+
+
 def tokenize(source: str) -> List[Token]:
-    """Tokenize MiniC source, raising :class:`LexError` on bad input."""
+    """Tokenize MiniC source, raising :class:`LexError` on bad input.
+
+    Positions are 1-based; a tab is one column.  Each token's line and
+    column come from the newlines between it and the previous token."""
     tokens: List[Token] = []
     i = 0
-    line = 1
-    col = 1
     n = len(source)
+    line = 1
+    line_start = 0  # index of the first character of ``line``
+    synced = 0  # ``line``/``line_start`` account for source[:synced]
 
-    def advance(count: int = 1) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if i < n and source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
+    while True:
+        i = _SKIP.match(source, i).end()
+        if i > synced:
+            newlines = source.count("\n", synced, i)
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", synced, i) + 1
+            synced = i
+        col = i - line_start + 1
+        if i >= n:
+            break
         ch = source[i]
-        # whitespace
-        if ch in " \t\r\n":
-            advance()
-            continue
-        # comments
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                advance()
-            continue
         if source.startswith("/*", i):
-            start_line, start_col = line, col
-            advance(2)
-            while i < n and not source.startswith("*/", i):
-                advance()
-            if i >= n:
-                raise LexError("unterminated block comment", start_line, start_col)
-            advance(2)
-            continue
-        tok_line, tok_col = line, col
+            raise LexError("unterminated block comment", line, col)
         # identifiers / keywords
         if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
+            j = _WORD.match(source, i + 1).end()
             text = source[i:j]
-            advance(j - i)
             kind = "kw" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, tok_line, tok_col))
+            tokens.append(Token(kind, text, line, col))
+            i = j
             continue
         # numeric literals
         if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
@@ -110,9 +106,9 @@ def tokenize(source: str) -> List[Token]:
                     j += 1
                 text = source[i:j]
                 if j == i + 2:
-                    raise LexError("malformed hex literal", tok_line, tok_col)
-                advance(j - i)
-                tokens.append(Token("int", text, tok_line, tok_col, int(text, 16)))
+                    raise LexError("malformed hex literal", line, col)
+                tokens.append(Token("int", text, line, col, int(text, 16)))
+                i = j
                 continue
             while j < n and source[j].isdigit():
                 j += 1
@@ -131,60 +127,63 @@ def tokenize(source: str) -> List[Token]:
                     while j < n and source[j].isdigit():
                         j += 1
             text = source[i:j]
-            advance(j - i)
             if is_float:
-                tokens.append(Token("float", text, tok_line, tok_col, float(text)))
+                tokens.append(Token("float", text, line, col, float(text)))
             else:
-                tokens.append(Token("int", text, tok_line, tok_col, int(text)))
+                tokens.append(Token("int", text, line, col, int(text)))
+            i = j
             continue
-        # char literal
+        # char literal (a raw newline inside one is counted at the next
+        # token, like any other)
         if ch == "'":
-            advance()
+            i += 1
             if i >= n:
-                raise LexError("unterminated char literal", tok_line, tok_col)
+                raise LexError("unterminated char literal", line, col)
             if source[i] == "\\":
-                advance()
+                i += 1
                 if i >= n or source[i] not in _ESCAPES:
-                    raise LexError("bad escape in char literal", tok_line, tok_col)
+                    raise LexError("bad escape in char literal", line, col)
                 value = ord(_ESCAPES[source[i]])
-                advance()
             else:
                 value = ord(source[i])
-                advance()
+            i += 1
             if i >= n or source[i] != "'":
-                raise LexError("unterminated char literal", tok_line, tok_col)
-            advance()
-            tokens.append(Token("char", f"'{chr(value)}'", tok_line, tok_col, value))
+                raise LexError("unterminated char literal", line, col)
+            i += 1
+            tokens.append(Token("char", f"'{chr(value)}'", line, col, value))
             continue
         # string literal
         if ch == '"':
-            advance()
+            i += 1
             chars: List[str] = []
             while i < n and source[i] != '"':
-                if source[i] == "\\":
-                    advance()
+                c = source[i]
+                if c == "\\":
+                    i += 1
                     if i >= n or source[i] not in _ESCAPES:
-                        raise LexError("bad escape in string literal", tok_line, tok_col)
+                        raise LexError("bad escape in string literal", line, col)
                     chars.append(_ESCAPES[source[i]])
-                elif source[i] == "\n":
-                    raise LexError("newline in string literal", tok_line, tok_col)
+                elif c == "\n":
+                    raise LexError("newline in string literal", line, col)
                 else:
-                    chars.append(source[i])
-                advance()
+                    chars.append(c)
+                i += 1
             if i >= n:
-                raise LexError("unterminated string literal", tok_line, tok_col)
-            advance()
+                raise LexError("unterminated string literal", line, col)
+            i += 1
             text = "".join(chars)
-            tokens.append(Token("string", text, tok_line, tok_col, text))
+            tokens.append(Token("string", text, line, col, text))
             continue
-        # operators
-        for op in OPERATORS:
-            if source.startswith(op, i):
-                advance(len(op))
-                tokens.append(Token("op", op, tok_line, tok_col))
-                break
-        else:
-            raise LexError(f"unexpected character {ch!r}", tok_line, tok_col)
+        # operators, longest match first
+        op = source[i:i + 3]
+        if op not in _OPS3:
+            op = op[:2]
+            if op not in _OPS2:
+                op = ch
+                if op not in _OPS1:
+                    raise LexError(f"unexpected character {ch!r}", line, col)
+        tokens.append(Token("op", op, line, col))
+        i += len(op)
 
     tokens.append(Token("eof", "", line, col))
     return tokens

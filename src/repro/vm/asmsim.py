@@ -12,8 +12,8 @@ Return addresses are synthetic code addresses (``CODE_BASE + 16*site``)
 pushed through rsp into simulated stack memory; a corrupted return address
 or stack pointer therefore faults exactly the way it would on hardware.
 
-Opcodes dispatch through a precomputed bound-method table
-(``_OPCODE_METHODS``) instead of an if/elif chain, and the simulator can
+Opcodes dispatch through a precomputed handler table (``_OPS``)
+instead of an if/elif chain, and the simulator can
 ``capture()``/``restore()`` its complete state at any instruction boundary
 (see :mod:`repro.vm.snapshot`): a restored run retires the exact stream a
 cold run would from that boundary on, which is what lets fault-injection
@@ -33,6 +33,7 @@ from repro.backend.machine import (
 from repro.ir.values import bits_to_double, double_to_bits
 from repro.obs import get_recorder
 from repro.vm.blockcache import UNCOMPILABLE, cache_for, compile_asm_segment
+from repro.vm.counter import CandidateCounter
 from repro.vm.image import build_global_image
 from repro.vm.io import OutputBuffer
 from repro.vm.memory import BumpAllocator, STACK_TOP
@@ -59,11 +60,6 @@ class AsmHook:
     #: run the post-injection suffix on the compiled path.
     finished = False
 
-    #: True for hooks whose ``on_executed`` mutates nothing but the hook
-    #: itself (pure observers, e.g. candidate counters): every compiled
-    #: span is safe for them regardless of its candidate count.
-    observer = False
-
     def on_executed(self, inst: MInst, sim: "AsmSimulator") -> None:
         """Called after each instruction retires; may corrupt state."""
 
@@ -72,7 +68,7 @@ class AsmHook:
         times run without scalar fallback?  Override for hooks that can
         bound when they next act (injection hooks: the block is safe
         while its candidate count cannot reach the trigger index)."""
-        return self.observer
+        return False
 
 
 @dataclass
@@ -122,8 +118,7 @@ def program_tables(program: MProgram) -> ProgramTables:
 
 
 class AsmSimulator:
-    #: opcode -> handler method name; resolved to bound methods per
-    #: instance so the hot loop is one dict lookup plus one call.
+    #: opcode -> handler method name (resolved once into ``_OPS``).
     _OPCODE_METHODS: Dict[str, str] = {
         "mov": "_op_mov",
         "movsx": "_op_movx", "movzx": "_op_movx",
@@ -167,7 +162,8 @@ class AsmSimulator:
                  = None,
                  template: Optional["AsmSimulator"] = None,
                  memory=None,
-                 compile_blocks: bool = True) -> None:
+                 compile_blocks: bool = True,
+                 counter: Optional[CandidateCounter] = None) -> None:
         if program.ir_module is None:
             raise ReproError("program has no IR module attached")
         if (template is None) != (memory is None):
@@ -180,6 +176,8 @@ class AsmSimulator:
         #: this set (fault injectors pass their candidate set here, keeping
         #: per-instruction overhead off the hot path).
         self.hook_filter = hook_filter
+        #: Dynamic candidate counting (profiling and recording runs).
+        self.counter = counter
         self.output = OutputBuffer()
         self.executed = 0
         self.call_depth = 0
@@ -227,17 +225,14 @@ class AsmSimulator:
         self._site_tokens: Dict[Tuple[str, int, int], int] = {}
         self._token_sites: Dict[int, Tuple[str, int, int]] = {}
 
-        self._ops: Dict[str, Callable[[MInst, _Loc], Optional[_Loc]]] = {
-            op: getattr(self, meth) for op, meth in
-            self._OPCODE_METHODS.items()}
-
-        #: Threaded-code execution (see repro.vm.blockcache).  An armed
-        #: boundary tap (checkpoint recording) always takes the scalar
-        #: path, so recording runs never compile.
+        #: Threaded-code execution (see repro.vm.blockcache).  A
+        #: recording run compiles a segment only when it retires before
+        #: the next checkpoint boundary; the scalar loop takes the
+        #: capture.
         self._recording = (checkpoint_sink is not None
                            and checkpoint_stride > 0)
-        self._compiling = compile_blocks and not self._recording
-        self._block_cache = cache_for(program) if self._compiling else None
+        self._compiling = compile_blocks
+        self._block_cache = cache_for(program) if compile_blocks else None
         #: Runtime counters: straight-line runs executed compiled vs runs
         #: that fell back to the scalar loop while compilation was on.
         self.compiled_blocks = 0
@@ -379,9 +374,11 @@ class AsmSimulator:
             self.call_depth = 1
         hook = self.hook
         hook_filter = self.hook_filter
-        ops = self._ops
-        recording = (self._checkpoint_sink is not None
-                     and self._checkpoint_stride > 0)
+        counter = self.counter
+        by_inst = counter.by_inst if counter is not None else None
+        totals = counter.totals if counter is not None else None
+        ops = self._OPS
+        recording = self._recording
         while True:
             insts = loc.func.blocks[loc.block]
             while loc.index >= len(insts):
@@ -438,12 +435,18 @@ class AsmSimulator:
                                     cb = None
                         else:
                             cb = None
+                        if (cb is not None and recording
+                                and self.executed + cb.count
+                                > self._next_checkpoint):
+                            cb = None  # a capture lands inside it
                         if cb is not None:
                             self.compiled_blocks += 1
                             for step in cb.steps:
                                 step(self)
                             loc.index = cb.term_index
                             next_loc = cb.term(self, loc)
+                            if counter is not None:
+                                counter.add_segment(cb)
                             if next_loc is None:  # program exit
                                 return wrap_signed32(self.get_gpr("rax"))
                             loc = next_loc
@@ -464,10 +467,13 @@ class AsmSimulator:
                 handler = ops.get(inst.opcode)
                 if handler is None:
                     raise ReproError(f"cannot simulate {inst.opcode}")
-                next_loc = handler(inst, loc)
+                next_loc = handler(self, inst, loc)
                 if hook is not None and (hook_filter is None
                                          or id(inst) in hook_filter):
                     hook.on_executed(inst, self)
+                if counter is not None:
+                    for i in by_inst.get(id(inst), ()):
+                        totals[i] += 1
                 if next_loc is None:  # program exit
                     return wrap_signed32(self.get_gpr("rax"))
                 if next_loc is not loc or next_loc.index == 0:
@@ -595,14 +601,6 @@ class AsmSimulator:
             self.flags["CF"] = 1 if a < b else 0
 
     # -- opcode handlers ----------------------------------------------------------
-    def _step(self, inst: MInst, loc: _Loc) -> Optional[_Loc]:
-        """Single-instruction dispatch (kept for tests/tools; the main loop
-        uses the bound-method table directly)."""
-        handler = self._ops.get(inst.opcode)
-        if handler is None:
-            raise ReproError(f"cannot simulate {inst.opcode}")
-        return handler(inst, loc)
-
     def _op_mov(self, inst: MInst, loc: _Loc) -> Optional[_Loc]:
         dst, src = inst.operands
         w = inst.width
@@ -882,6 +880,14 @@ class AsmSimulator:
             self.heap.free(self.get_gpr("rdi"))
         else:
             raise ReproError(f"unknown intrinsic {name}")
+
+
+#: opcode -> handler function, one dict lookup plus one call in the hot
+#: loop.  The functions are unbound: a table of bound methods on the
+#: instance would be a reference cycle, leaving every dropped simulator
+#: (and its memory) to the cyclic collector.
+AsmSimulator._OPS = {op: getattr(AsmSimulator, meth)
+                     for op, meth in AsmSimulator._OPCODE_METHODS.items()}
 
 
 # -- helpers ---------------------------------------------------------------------

@@ -36,22 +36,25 @@ Semantics are bit-identical to the scalar loop by construction:
   scalar behaviour (including the scalar error).
 
 Engines only run a compiled block when no observer could tell the
-difference: a lane with an armed boundary tap (checkpoint recording) or
-a pending poison check falls back to the per-instruction loop for that
-block (see the gate logic in each engine).
+difference: a lane with a pending poison check falls back to the
+per-instruction loop for that block, and a checkpoint-recording run
+compiles only segments that retire before its next capture (at the IR
+tier, only a segment's ``recordable`` prefix, which stops before any
+call into a defined function) — see the gate logic in each engine.
+Profiling and recording runs count candidates per compiled segment
+(:mod:`repro.vm.counter`), not per instruction.
 
 Armed hooks get a middle path.  A block whose instructions intersect the
 engine's ``hook_filter`` compiles a second, *hooked* variant (cached per
 filter value) whose candidate steps invoke the hook inline, exactly
 where the scalar loop would.  The engine runs it only when the hook
-declares the whole span safe (``compiled_span_ok``): counting hooks
-(``observer = True``) always are; injection hooks are safe while the
-block's candidate count cannot reach their trigger index, so the fault
-can only ever fire on a scalar-fallback block — where poison tracking
-sees every read.  IR ``Call`` steps nest execution (the dynamic
-candidate count can grow mid-block), so a hooked candidate at or after a
-call marks the block span-unsafe for non-observer hooks; the asm engine
-is a flat loop, so its spans are always exact.
+declares the whole span safe (``compiled_span_ok``): injection hooks
+are safe while the block's candidate count cannot reach their trigger
+index, so the fault can only ever fire on a scalar-fallback block —
+where poison tracking sees every read.  IR ``Call`` steps nest execution
+(the dynamic candidate count can grow mid-block), so a hooked candidate
+at or after a call marks the block span-unsafe; the asm engine is a flat
+loop, so its spans are always exact.
 """
 
 from __future__ import annotations
@@ -171,12 +174,19 @@ def _asm_helpers():
 class CompiledIRBlock:
     """A compiled IR block segment: straight-line ``steps`` then one
     ``term`` closure.  ``ids`` is the id-set of every covered
-    instruction, used for hook-filter disjointness checks.  ``ncand`` is
-    the number of inline hook invocations a hooked variant makes per
-    dispatch (0 for plain variants; ``NCAND_UNSAFE`` when a nested call
-    makes the span unpredictable)."""
+    instruction, used for hook-filter disjointness checks and candidate
+    counting (:mod:`repro.vm.counter`).  ``ncand`` is the number of
+    inline hook invocations a hooked variant makes per dispatch (0 for
+    plain variants; ``NCAND_UNSAFE`` when a nested call makes the span
+    unpredictable).
 
-    __slots__ = ("steps", "term", "count", "ids", "ncand")
+    ``recordable`` is what a checkpoint-recording run may dispatch: the
+    segment itself when it makes no nested call, else its prefix up to
+    the first nested call (whose ``term`` returns the call's index, so
+    the scalar loop runs the call with exact resume bookkeeping), or
+    None when the segment starts with that call."""
+
+    __slots__ = ("steps", "term", "count", "ids", "ncand", "recordable")
 
     def __init__(self, steps, term, count, ids, ncand=0):
         self.steps = steps
@@ -184,6 +194,7 @@ class CompiledIRBlock:
         self.count = count
         self.ids = ids
         self.ncand = ncand
+        self.recordable = self
 
 
 #: Marker for Ret terminators: ``term`` returns ``(_RET, value)`` so the
@@ -194,7 +205,7 @@ _RET_NONE = (_RET, None)
 #: ``ncand`` value for hooked IR blocks where a candidate executes at or
 #: after a nested call: the dynamic candidate count can grow arbitrarily
 #: mid-block, so no finite bound exists and ``count + ncand < k`` must
-#: always fail for injection hooks (observer hooks ignore ncand).
+#: always fail for injection hooks.
 NCAND_UNSAFE = 1 << 62
 
 
@@ -710,6 +721,14 @@ def _ir_fused_load_binop(load_inst, bin_inst, global_addr):
     return step
 
 
+def _stop_at(index):
+    """Terminator of a recordable prefix: hand the nested call at
+    ``index`` to the engine's scalar loop."""
+    def term(s, frame, values):
+        return index
+    return term
+
+
 def _build_ir_segment(insts, start, global_addr, hook_ids=None):
     """Compile ``insts[start:]`` or return None.  Also returns the fused
     pair count: ``(CompiledIRBlock, fused)``.
@@ -718,7 +737,10 @@ def _build_ir_segment(insts, start, global_addr, hook_ids=None):
     instructions get hook-invoking steps, candidate pairs are never
     fused, and ``ncand`` counts the inline hook calls — degraded to
     ``NCAND_UNSAFE`` when a candidate executes at or after a nested
-    call, whose recursion can advance the hook's dynamic count."""
+    call, whose recursion can advance the hook's dynamic count.
+
+    The first call into a defined function also fixes the segment's
+    ``recordable`` prefix (the steps compiled so far)."""
     steps = []
     ids = set()
     count = 0
@@ -726,6 +748,16 @@ def _build_ir_segment(insts, start, global_addr, hook_ids=None):
     ncand = 0
     seen_call = False
     unsafe = False
+    nested = False  # met a call into a defined function
+    prefix = None
+
+    def finish(term, ninsts):
+        cb = CompiledIRBlock(tuple(steps), term, ninsts, frozenset(ids),
+                             NCAND_UNSAFE if unsafe else ncand)
+        if nested:
+            cb.recordable = prefix
+        return cb
+
     i = start
     n = len(insts)
     while i < n:
@@ -740,10 +772,7 @@ def _build_ir_segment(insts, start, global_addr, hook_ids=None):
             if term is None:
                 return None
             ids.add(id(inst))
-            return (CompiledIRBlock(tuple(steps), term, count + 1,
-                                    frozenset(ids),
-                                    NCAND_UNSAFE if unsafe else ncand),
-                    fused)
+            return finish(term, count + 1), fused
         if (cls is ICmp or cls is FCmp) and i + 1 < n:
             nxt = insts[i + 1]
             if (type(nxt) is Branch and nxt.is_conditional
@@ -755,9 +784,7 @@ def _build_ir_segment(insts, start, global_addr, hook_ids=None):
                 if term is not None:
                     ids.add(id(inst))
                     ids.add(id(nxt))
-                    return (CompiledIRBlock(
-                        tuple(steps), term, count + 2, frozenset(ids),
-                        NCAND_UNSAFE if unsafe else ncand), fused + 1)
+                    return finish(term, count + 2), fused + 1
         if cls is Load and i + 1 < n:
             nxt = insts[i + 1]
             if (type(nxt) is BinaryOp
@@ -775,6 +802,11 @@ def _build_ir_segment(insts, start, global_addr, hook_ids=None):
                     i += 2
                     continue
         if cls is Call:
+            if not nested and not inst.callee.is_intrinsic:
+                nested = True
+                if steps:
+                    prefix = CompiledIRBlock(tuple(steps), _stop_at(i),
+                                             count, frozenset(ids), ncand)
             seen_call = True
         step = _ir_step(inst, global_addr)
         if step is None:
@@ -1316,19 +1348,19 @@ def _asm_step(inst, sim, global_addr):
 
     if op in ("neg", "not", "shl", "sar", "shr", "cdq", "cqo", "idiv",
               "ud2"):
-        # Rare/stateful opcodes: delegate to the scalar handler through a
-        # throwaway location.  The handler is looked up on the *running*
-        # instance (compiled blocks are shared across engine instances,
-        # so a bound method of the compiling one must not be baked in).
-        if op not in sim._ops:
+        # Rare/stateful opcodes: delegate to the scalar handler (an
+        # unbound function, so any engine instance may run the step)
+        # through a throwaway location.
+        handler = sim._OPS.get(op)
+        if handler is None:
             return None
 
-        def step(s, inst=inst, op=op):
+        def step(s, inst=inst):
             e = s.executed + 1
             s.executed = e
             if e > s.max_instructions:
                 raise HangTimeout(e)
-            s._ops[op](inst, s._scratch_loc)
+            handler(s, inst, s._scratch_loc)
         return step
 
     return None

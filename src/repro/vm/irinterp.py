@@ -56,6 +56,7 @@ from repro.vm.snapshot import (
     restore_memory_decoded,
 )
 from repro.vm.blockcache import UNCOMPILABLE, cache_for, compile_ir_segment
+from repro.vm.counter import CandidateCounter
 from repro.vm.traps import HangTimeout, Trap, TrapKind
 
 MASK64 = (1 << 64) - 1
@@ -69,11 +70,6 @@ class InterpHook:
     #: run the post-injection suffix on the compiled path.
     finished = False
 
-    #: True for hooks whose ``on_result`` mutates nothing but the hook
-    #: itself (pure observers, e.g. candidate counters): every compiled
-    #: span is safe for them regardless of its candidate count.
-    observer = False
-
     def on_result(self, inst: Instruction, value, interp: "IRInterpreter"):
         """Called after each value-producing instruction; the return value
         replaces the instruction's result."""
@@ -84,7 +80,7 @@ class InterpHook:
         times run without scalar fallback?  Override for hooks that can
         bound when they next act (injection hooks: the block is safe
         while its candidate count cannot reach the trigger index)."""
-        return self.observer
+        return False
 
 
 @dataclass
@@ -113,7 +109,8 @@ class IRInterpreter:
                  = None,
                  template: Optional["IRInterpreter"] = None,
                  memory=None,
-                 compile_blocks: bool = True) -> None:
+                 compile_blocks: bool = True,
+                 counter: Optional[CandidateCounter] = None) -> None:
         if (template is None) != (memory is None):
             raise ReproError("template and memory must be given together")
         self.module = module
@@ -123,6 +120,8 @@ class IRInterpreter:
         #: When set, the hook only fires for instructions whose id() is in
         #: this set (fault injectors pass their candidate set here).
         self.hook_filter = hook_filter
+        #: Dynamic candidate counting (profiling and recording runs).
+        self.counter = counter
         # Simulated calls consume several Python frames each; make sure the
         # simulated call-depth limit is reached before CPython's.
         needed = max_call_depth * 10 + 2000
@@ -158,11 +157,13 @@ class IRInterpreter:
             self._stack_sp = STACK_TOP
         else:
             self.memory, self.heap, self._stack_sp = self._load_globals()
-        #: Threaded-code execution (see repro.vm.blockcache).  An armed
-        #: boundary tap (checkpoint recording) always takes the scalar
-        #: path, so recording runs never compile.
-        self._compiling = compile_blocks and not self._recording
-        self._block_cache = cache_for(module) if self._compiling else None
+        #: Threaded-code execution (see repro.vm.blockcache).  A
+        #: recording run compiles a segment only when it retires before
+        #: the next checkpoint boundary and makes no nested call (it
+        #: dispatches the segment's ``recordable`` prefix); the scalar
+        #: loop takes the capture and runs the call.
+        self._compiling = compile_blocks
+        self._block_cache = cache_for(module) if compile_blocks else None
         #: Runtime counters: blocks executed compiled vs blocks that fell
         #: back to the scalar loop while compilation was on.
         self.compiled_blocks = 0
@@ -175,18 +176,9 @@ class IRInterpreter:
         self._hooked: Dict[tuple, object] = {}
         self._filter_key = (frozenset(hook_filter)
                             if hook_filter is not None else None)
-        self._dispatch: Dict[type, Callable] = {
-            BinaryOp: self._exec_binop,
-            ICmp: self._exec_icmp,
-            FCmp: self._exec_fcmp,
-            Load: self._exec_load,
-            Store: self._exec_store,
-            GetElementPtr: self._exec_gep,
-            Cast: self._exec_cast,
-            Select: self._exec_select,
-            Alloca: self._exec_alloca,
-            Call: self._exec_call,
-        }
+        #: instruction class -> handler, called as ``handler(self, inst,
+        #: frame)``; shared, unless a tool swaps in its own copy.
+        self._dispatch: Dict[type, Callable] = self._DISPATCH
 
     # -- program image -----------------------------------------------------
     def _load_globals(self):
@@ -313,6 +305,9 @@ class IRInterpreter:
                     if hook is not None and (self.hook_filter is None
                                              or id(inst) in self.hook_filter):
                         inner = hook.on_result(inst, inner, self)
+                    if self.counter is not None:
+                        for i in self.counter.by_inst.get(id(inst), ()):
+                            self.counter.totals[i] += 1
                     frame.values[id(inst)] = inner
                 # A call is never a block terminator, so index+1 is valid.
                 return self._run_frame(frame, start_block=fs.block,
@@ -387,8 +382,14 @@ class IRInterpreter:
         prev_block: Optional[BasicBlock] = None
         hook = self.hook
         hook_filter = self.hook_filter
+        counter = self.counter
+        by_inst = counter.by_inst if counter is not None else None
+        totals = counter.totals if counter is not None else None
         values = frame.values
         recording = self._recording
+        # A recording run hands each nested call back to the compiled
+        # dispatch once the scalar loop has run it.
+        split_calls = recording and self._compiling
         while True:
             insts = block.instructions
             if skip:
@@ -409,6 +410,9 @@ class IRInterpreter:
                         if hook is not None and (hook_filter is None
                                                  or id(phi) in hook_filter):
                             value = hook.on_result(phi, value, self)
+                        if counter is not None:
+                            for i in by_inst.get(id(phi), ()):
+                                totals[i] += 1
                         values[id(phi)] = value
                     if self.executed > self.max_instructions:
                         raise HangTimeout(self.executed)
@@ -459,16 +463,27 @@ class IRInterpreter:
                                     cb = None
                         else:
                             cb = None
+                        if cb is not None and recording:
+                            cb = cb.recordable
+                            if (cb is not None and self.executed + cb.count
+                                    > self._next_checkpoint):
+                                cb = None  # a capture lands inside it
                         if cb is not None:
                             self.compiled_blocks += 1
                             for step in cb.steps:
                                 step(self, frame, values)
                             t = cb.term(self, frame, values)
+                            if counter is not None:
+                                counter.add_segment(cb)
                             if type(t) is tuple:  # (_RET, value)
                                 return t[1]
-                            prev_block = block
-                            block = t
-                            continue
+                            if type(t) is not int:
+                                prev_block = block
+                                block = t
+                                continue
+                            # A recordable prefix stopped at a nested
+                            # call: the scalar loop runs it.
+                            index = t
                 self.fallback_blocks += 1
             while index < len(insts):
                 if recording:
@@ -501,13 +516,19 @@ class IRInterpreter:
                 handler = self._dispatch.get(cls)
                 if handler is None:
                     raise ReproError(f"cannot interpret {inst.opcode}")
-                result = handler(inst, frame)
+                result = handler(self, inst, frame)
                 if inst.has_result():
                     if hook is not None and (hook_filter is None
                                              or id(inst) in hook_filter):
                         result = hook.on_result(inst, result, self)
+                    if counter is not None:
+                        for i in by_inst.get(id(inst), ()):
+                            totals[i] += 1
                     values[id(inst)] = result
                 index += 1
+                if split_calls and cls is Call:
+                    skip = index
+                    break
             else:
                 raise ReproError(
                     f"block {block.name} fell through without terminator")
@@ -656,6 +677,23 @@ class IRInterpreter:
     def _exec_call(self, inst: Call, frame: Frame):
         args = [self._value_of(a, frame) for a in inst.args]
         return self._call_function(inst.callee, args)
+
+
+#: The unbound handlers: a table of bound methods on the instance would be
+#: a reference cycle, leaving every dropped interpreter (and its memory)
+#: to the cyclic collector.
+IRInterpreter._DISPATCH = {
+    BinaryOp: IRInterpreter._exec_binop,
+    ICmp: IRInterpreter._exec_icmp,
+    FCmp: IRInterpreter._exec_fcmp,
+    Load: IRInterpreter._exec_load,
+    Store: IRInterpreter._exec_store,
+    GetElementPtr: IRInterpreter._exec_gep,
+    Cast: IRInterpreter._exec_cast,
+    Select: IRInterpreter._exec_select,
+    Alloca: IRInterpreter._exec_alloca,
+    Call: IRInterpreter._exec_call,
+}
 
 
 # -- arithmetic helpers ---------------------------------------------------------

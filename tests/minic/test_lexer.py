@@ -1,9 +1,14 @@
 """Tests for the MiniC lexer."""
 
+import random
+
 import pytest
 
 from repro.errors import LexError
 from repro.minic.lexer import Token, tokenize
+from repro.testing.progen import generate_program
+from repro.workloads import get, workload_names
+from tests.minic.lexer_reference import reference_tokenize
 
 
 def kinds(source):
@@ -134,3 +139,56 @@ class TestCommentsAndPositions:
             assert e.line == 2 and e.column == 4
         else:
             pytest.fail("expected LexError")
+
+
+#: Every malformed input of the cases above.
+ERROR_CASES = ["0x", "'a", '"abc', '"ab\ncd"', "a @ b", "/* never ends",
+               "ok\n   $"]
+#: Fragments spliced into real sources to reach every lexer branch,
+#: malformed ones included.
+FRAGMENTS = ["@", "$", "`", "\x0b", "0x", "0X", "'\\q'", "'", '"',
+             '"\\q"', '"a\nb"', "/*", "*/", "//", "\n", "\t", "'\n'",
+             ".5e", "1e+", "'a", "\\", "\u00e9", "..", "->", ">>=", "<<"]
+
+
+def _outcome(lex, source):
+    """Token stream (every field) or the LexError's message and place."""
+    try:
+        return [(t.kind, t.text, t.line, t.column, repr(t.value))
+                for t in lex(source)]
+    except LexError as e:
+        return ("LexError", str(e), e.line, e.column)
+
+
+def _sources():
+    return ([get(name).source for name in workload_names()]
+            + [generate_program(seed)
+               for seed in range(20140623, 20140663)])
+
+
+class TestAgainstReference:
+    """``tokenize`` equals the character-at-a-time reference lexer."""
+
+    def test_error_cases(self):
+        for source in ERROR_CASES:
+            want = _outcome(reference_tokenize, source)
+            assert want[0] == "LexError"
+            assert _outcome(tokenize, source) == want
+
+    def test_workloads_and_generated_programs(self):
+        for source in _sources():
+            assert _outcome(tokenize, source) == \
+                _outcome(reference_tokenize, source)
+
+    def test_spliced_and_truncated_sources(self):
+        rng = random.Random(20140623)
+        errors = 0
+        for source in _sources():
+            for _ in range(4):
+                at = rng.randrange(len(source) + 1)
+                for variant in (source[:at] + rng.choice(FRAGMENTS)
+                                + source[at:], source[:at]):
+                    want = _outcome(reference_tokenize, variant)
+                    errors += want[0] == "LexError"
+                    assert _outcome(tokenize, variant) == want, variant
+        assert errors > 20

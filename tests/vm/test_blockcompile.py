@@ -4,12 +4,13 @@ The contract (ISSUE 8): campaigns run with compilation enabled (the
 default) must be *bit-identical* to ``no_compile=True`` campaigns — the
 full ``CampaignResult.to_json(include_records=True)`` form — for both
 tools, across every category, with checkpoints on or off, batched or
-scalar, at any job count.  A lane with a pending injection or an armed
-boundary tap falls back to the per-instruction loop for that block, so
+scalar, at any job count.  A lane with a pending injection falls back to
+the per-instruction loop for that block, and a recording run compiles
+only segments that retire before the next checkpoint boundary, so
 identity holds by construction; these tests re-verify it empirically and
-pin the fallback rules themselves (recording runs never compile; a block
-containing an armed hook's candidate runs scalar even when its
-compare+branch pair was fused).
+pin the fallback rules themselves (a recording run compiles up to its
+boundaries; a block containing an armed hook's candidate runs scalar
+even when its compare+branch pair was fused).
 """
 
 import gc
@@ -30,7 +31,6 @@ from repro.obs.manifest import read_manifest
 from repro.vm.asmsim import AsmSimulator, program_tables
 from repro.vm.blockcache import cache_for, peek_cache
 from repro.vm.irinterp import IRInterpreter
-from repro.vm.snapshot import CheckpointStore
 
 # Same shape as tests/fi/test_batch_campaign.py's workload: calls,
 # branches, doubles and loads, so every category has candidates and the
@@ -67,6 +67,18 @@ def built():
 def _fresh(tool, built):
     module, program = built
     return LLFIInjector(module) if tool == "LLFI" else PINFIInjector(program)
+
+
+def _canonical(snapshot):
+    """A snapshot as comparable data: IR frame values are compared by
+    ``repr`` (a NaN is not equal to itself) and frames by position."""
+    state = snapshot.state
+    if "frames" in state:
+        state = (tuple((f.function.name, id(f.block), f.index, f.saved_sp,
+                        sorted((k, repr(v)) for k, v in f.values.items()))
+                       for f in state["frames"]), state["stack_sp"])
+    return (snapshot.executed, snapshot.call_depth, snapshot.memory,
+            snapshot.heap, snapshot.output, state)
 
 
 def _json(result):
@@ -155,33 +167,57 @@ class TestEngineBitIdentity:
         gc.collect()
         assert ref() is None
 
+    def test_engines_free_without_the_cycle_collector(self, built):
+        """A dropped engine holds no reference cycle (its dispatch table
+        holds unbound functions), so it and its memory are released at
+        once, not at the next cyclic collection."""
+        module, program = built
+        gc.disable()
+        try:
+            for make in (lambda: IRInterpreter(module),
+                         lambda: AsmSimulator(program)):
+                engine = make()
+                engine.run()
+                ref = weakref.ref(engine)
+                del engine
+                assert ref() is None
+        finally:
+            gc.enable()
+
 
 class TestFallbackRules:
-    def test_recording_run_never_compiles(self, built):
-        """An armed boundary tap (checkpoint recording) forces the scalar
-        loop for the whole run — snapshots must land on exact boundary
-        state."""
+    def test_recording_run_compiles_to_the_boundary(self, built):
+        """A recording run compiles every segment that retires before the
+        next checkpoint boundary and leaves the capture to the scalar
+        loop: it dispatches compiled blocks, and its snapshots equal the
+        ``compile_blocks=False`` recording's."""
         module, program = built
-        store = CheckpointStore(50)
-        interp = IRInterpreter(module, checkpoint_stride=50,
-                               checkpoint_sink=lambda s: store.record(s, {}))
-        interp.run()
-        assert interp.compiled_blocks == 0 and interp.fallback_blocks == 0
-        sink = []
-        sim = AsmSimulator(program, checkpoint_stride=50,
-                           checkpoint_sink=sink.append)
-        sim.run()
-        assert sim.compiled_blocks == 0 and sim.fallback_blocks == 0
+        for make in (lambda **kw: IRInterpreter(module, **kw),
+                     lambda **kw: AsmSimulator(program, **kw)):
+            runs = []
+            for compile_blocks in (True, False):
+                snaps = []
+                engine = make(checkpoint_stride=50,
+                              checkpoint_sink=snaps.append,
+                              compile_blocks=compile_blocks)
+                result = engine.run()
+                runs.append((engine.compiled_blocks, result, snaps))
+            (compiled, result, snaps), (none, scalar, scalar_snaps) = runs
+            assert compiled > 0 and none == 0
+            assert result == scalar
+            assert len(snaps) >= 5
+            assert [_canonical(s) for s in snaps] == \
+                [_canonical(s) for s in scalar_snaps]
 
     @pytest.mark.parametrize("tool", ["LLFI", "PINFI"])
     def test_counting_hooks_run_compiled(self, tool, built):
-        """Profiling runs carry pure-observer counting hooks: the hooked
-        block variants keep them on the compiled path (no blanket
-        fallback), and the dynamic counts match the scalar loop's."""
+        """Profiling runs count candidates per compiled block (no hook,
+        no blanket fallback), and the dynamic counts match the scalar
+        loop's."""
         inj = _fresh(tool, built)
         counts = inj.dynamic_counts()
         assert inj.compiled_blocks > 0, \
-            "observer hooks should not force scalar fallback"
+            "candidate counting should not force scalar fallback"
         twin = _fresh(tool, built)
         twin.compile_enabled = False
         assert twin.dynamic_counts() == counts
